@@ -9,6 +9,7 @@ produces byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -252,7 +253,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="ncpick",
         description="Noncommutative Pick interpolation toolkit (JSON in, JSON out)",

@@ -287,13 +287,28 @@ def eval_word(Z: MatrixTuple, a: Word) -> BlockMatrix:
     return BlockMatrix(_eval_word(Z, a))
 
 
-def _eval_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
+def _homogeneous_parts(Q: NcMatrixPolynomial, Z: MatrixTuple) -> dict[int, np.ndarray]:
+    """Q(Z) split by word length: ``{k: H_k(Z)}``, H_k(Z) = sum_{|w|=k} coeff_w (x) Z**w.
+
+    Only degrees that carry a term appear, so ``Q(t Z) = sum_k t**k H_k(Z)``.
+    """
     if Q.d != Z.d:
         raise DimensionMismatchError("polynomial and point have different d")
+    parts: dict[int, np.ndarray] = {}
+    for w, coeff in Q.terms.items():
+        term = np.kron(coeff, _eval_word(Z, w))
+        if len(w) in parts:
+            parts[len(w)] += term
+        else:
+            parts[len(w)] = term
+    return parts
+
+
+def _eval_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
     n = Z.n
     out = np.zeros((Q.s * n, Q.r * n), dtype=complex)
-    for w, coeff in Q.terms.items():
-        out += np.kron(coeff, _eval_word(Z, w))
+    for part in _homogeneous_parts(Q, Z).values():
+        out += part
     return out
 
 
@@ -323,6 +338,14 @@ def in_domain(Q: NcMatrixPolynomial, Z: MatrixTuple, margin: bool = False):
     m = domain_margin(Q, Z)
     ok = bool(m > 0.0)
     return (ok, m) if margin else ok
+
+
+def _eval_in_domain(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
+    """Q(Z), evaluated once; raises ``DomainError`` unless ||Q(Z)|| < 1."""
+    QZ = _eval_poly(Q, Z)
+    if not operator_norm(QZ) < 1.0:
+        raise DomainError("point lies outside the disk of Q0")
+    return QZ
 
 
 def direct_sum(Z: MatrixTuple, W: MatrixTuple) -> MatrixTuple:

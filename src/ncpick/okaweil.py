@@ -20,8 +20,8 @@ from .core import (
     MatrixTuple,
     NcMatrixPolynomial,
     Word,
+    _eval_in_domain,
     _eval_poly,
-    in_domain,
     operator_norm,
     word_concat,
 )
@@ -52,14 +52,13 @@ def partial_sum_eval(f: RealizedFunction, Z: MatrixTuple, L: int) -> np.ndarray:
     """
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
-    col, Q0 = f.colligation, f.Q0
-    if not in_domain(Q0, Z):
-        raise DomainError("point lies outside the disk of Q0")
+    col = f.colligation
+    QZ = _eval_in_domain(f.Q0, Z)
     n, X = Z.n, col.dimX
     An, Bn, Cn, Dn = amplify(col, n)
     if X == 0:
         return Dn
-    Lop = np.kron(_eval_poly(Q0, Z), np.eye(X))
+    Lop = np.kron(QZ, np.eye(X))
     G = Lop @ An
     term = Lop @ Bn
     acc = term.copy()

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DimensionMismatchError,
     DomainError,
     MatrixTuple,
     NcMatrixPolynomial,
+    _eval_in_domain,
     _eval_poly,
     in_domain,
     operator_norm,
@@ -161,14 +161,13 @@ def transfer_eval(f: RealizedFunction, Z: MatrixTuple) -> np.ndarray:
 
     Returns the (dimY n) x (dimU n) value in the coefficient-major layout.
     """
-    col, Q0 = f.colligation, f.Q0
-    if not in_domain(Q0, Z):
-        raise DomainError("point lies outside the disk of Q0")
+    col = f.colligation
+    QZ = _eval_in_domain(f.Q0, Z)
     n, X = Z.n, col.dimX
     An, Bn, Cn, Dn = amplify(col, n)
     if X == 0:
         return Dn
-    L = np.kron(_eval_poly(Q0, Z), np.eye(X))
+    L = np.kron(QZ, np.eye(X))
     G = L @ An
     K = L @ Bn
     body = np.linalg.solve(np.eye(n * X) - G, K)
@@ -236,6 +235,8 @@ def _unitary_completion(Q1: np.ndarray, images: np.ndarray, X: int, u: int, y: i
     orthonormal bases of the two defect spaces.  Raises ``ValueError``
     when no nonnegative pad exists for the block shapes.
     """
+    import scipy.linalg  # local for the reason given in lurking_isometry_synthesize
+
     if r == 1:
         if u != y:
             raise ValueError("unitary completion with r = 1 needs dimU = dimY")
@@ -300,6 +301,11 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     Raises ``NotPsdError`` when the data is infeasible and
     ``SynthesisConsistencyError`` on a Gram mismatch beyond 100 * tol.
     """
+    # scipy.linalg is imported here, not at module level: only synthesis
+    # needs it, and it adds about 0.25 s and 28 MB to every process that
+    # imports ncpick (evaluation and certificate commands included)
+    import scipy.linalg
+
     if completion not in ("zero", "unitary"):
         raise ValueError("completion must be 'zero' or 'unitary'")
     a0 = np.asarray(a0, dtype=complex)

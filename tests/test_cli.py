@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncpick
 from ncpick.cli import main
 from ncpick.realization import RealizedFunction, transfer_eval
 from ncpick.serialize import (
@@ -203,3 +207,22 @@ class TestErrors:
                             payload, capsys, monkeypatch)
         assert doc["params"]["tol"] == 1e-8
         assert doc["params"]["seed"] == 7
+
+    def test_flags_do_not_leak_between_calls(self, capsys, monkeypatch):
+        payload = {"Q": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
+        _, first, _ = run_cli(["domain-check", "--samples", "5", "--tol", "1e-8",
+                               "--truncation-L", "3"], payload, capsys, monkeypatch)
+        assert first["params"] == {"samples": 5, "seed": 0, "tol": 1e-8, "truncation_L": 3}
+        _, second, _ = run_cli(["domain-check"], payload, capsys, monkeypatch)
+        assert second["params"] == {"samples": 100, "seed": 0, "tol": 1e-9, "truncation_L": 8}
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # synthesis imports scipy.linalg on first use; importing the CLI must not
+    src = str(Path(ncpick.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, ncpick.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

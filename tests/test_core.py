@@ -9,6 +9,8 @@ from ncpick.core import (
     DimensionMismatchError,
     NcMatrixPolynomial,
     Word,
+    _eval_poly,
+    _homogeneous_parts,
     check_intertwining,
     direct_sum,
     eval_nc_poly,
@@ -140,6 +142,19 @@ class TestEvalPoly:
         a = NcMatrixPolynomial.scalar_univariate([0, 1])
         b = NcMatrixPolynomial(1, 1, 1, {Word((1,), 1): np.eye(1)})
         assert a == b
+
+    def test_homogeneous_parts_split_by_degree(self, rng):
+        # Q(t Z) = sum_k t**k H_k(Z), and each H_k sums its own words only
+        coeffs = {(): 0.5, (1,): 1.0, (2, 1): -2.0, (1, 2): 1j, (2, 2, 1): 0.25}
+        Q = NcMatrixPolynomial.from_term_list(
+            2, 1, 1, [(w, [[c]]) for w, c in coeffs.items()])
+        Z = mt(*(rng.standard_normal((3, 3)) for _ in range(2)))
+        parts = _homogeneous_parts(Q, Z)
+        assert sorted(parts) == [0, 1, 2, 3]
+        assert np.allclose(parts[2], -2.0 * Z.components[1] @ Z.components[0]
+                           + 1j * Z.components[0] @ Z.components[1])
+        t = 0.7
+        assert np.allclose(sum(t**k * H for k, H in parts.items()), _eval_poly(Q, Z.scaled(t)))
 
 
 class TestOperatorNorm:

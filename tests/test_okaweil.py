@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncpick import core, okaweil, realization
 from ncpick.core import DomainError, NcMatrixPolynomial, Word, _eval_poly
 from ncpick.okaweil import (
     TruncationReport,
@@ -66,6 +67,18 @@ class TestPartialSums:
         f = shift_function()
         with pytest.raises(DomainError):
             partial_sum_eval(f, scalar_point(2.0), 3)
+
+    def test_q0_evaluated_once_per_call(self, rng, monkeypatch):
+        Q = NcMatrixPolynomial.row_pencil(2)
+        f = RealizedFunction(random_contractive_colligation(2, 1, 1, 2, seed=3), Q)
+        Z = sample_in_domain(Q, 2, rng, 0.5)
+        calls = []
+        for mod in (core, okaweil, realization):
+            monkeypatch.setattr(mod, "_eval_poly",
+                                lambda *a: calls.append(1) or _eval_poly(*a))
+        transfer_eval(f, Z)
+        partial_sum_eval(f, Z, 4)
+        assert len(calls) == 2
 
 
 class TestExtraction:
