@@ -60,7 +60,7 @@ def _emit(payload: dict, params: dict) -> None:
 
 
 def _params(args: argparse.Namespace) -> dict:
-    keep = ("tol", "seed", "max_multiplicity", "amplification", "truncation_L", "samples")
+    keep = ("tol", "seed", "max_multiplicity", "truncation_L", "samples")
     return {k: getattr(args, k) for k in keep if getattr(args, k, None) is not None}
 
 
@@ -148,15 +148,14 @@ def _decode_pick(obj) -> PickProblem:
 
 def _cmd_pick_check(args) -> int:
     p = _decode_pick(_read_input(args))
-    cert, _ = pick_certificate(p, amplification=args.amplification, rel_tol=args.tol)
+    cert, _ = pick_certificate(p, rel_tol=args.tol)
     _emit({"certificate": encode_certificate(cert)}, _params(args))
     return EXIT_OK if cert.is_psd else EXIT_NEGATIVE
 
 
 def _cmd_pick_solve(args) -> int:
     p = _decode_pick(_read_input(args))
-    rep = solve_pick(p, tol=args.tol, amplification=args.amplification,
-                     samples=args.samples, seed=args.seed, rel_tol=args.tol)
+    rep = solve_pick(p, tol=args.tol, samples=args.samples, seed=args.seed, rel_tol=args.tol)
     out = {
         "verdict": rep.certificate.verdict,
         "min_eig": float(rep.certificate.min_eig),
@@ -184,7 +183,6 @@ def _cmd_stein_check(args) -> int:
         decode_poly(obj["Q0"]),
         decode_tuple(obj["Z0"]),
         decode_matrix(obj["Lambda0"]),
-        amplification=args.amplification,
         rel_tol=args.tol,
     )
     _emit({"certificate": encode_certificate(cert)}, _params(args))
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--max-multiplicity", dest="max_multiplicity", type=int, default=None)
-        sp.add_argument("--amplification", type=int, default=None)
         sp.add_argument("--truncation-L", dest="truncation_L", type=int, default=8)
         sp.add_argument("--samples", type=int, default=100)
     return parser

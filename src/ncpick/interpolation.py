@@ -6,9 +6,9 @@ criterion is complete positivity of the de Branges-Rovnyak map
 
     P  ->  A0 (k(Z0,Z0)(P) (x) I_Y) A0^* - B0 (k(Z0,Z0)(P) (x) I_U) B0^*,
 
-certified by one PSD test on its Choi matrix at an amplified copy of the
-node.  Infeasible problems return certificates, never exceptions; the CLI
-turns them into exit codes.
+certified by one PSD test on its Choi matrix at the node's own level n
+(Choi's theorem).  Infeasible problems return certificates, never
+exceptions; the CLI turns them into exit codes.
 
 All series over the free semigroup are computed as exact Stein-equation
 fixed points; word enumeration appears only in test oracles and in the
@@ -39,8 +39,7 @@ from .core import (
 from .kernels import (
     ChoiMatrix,
     PsdCertificate,
-    dbr_map_matrix,
-    map_matrix_to_choi,
+    dbr_choi,
     psd_check,
     szego_kernel_solve,
 )
@@ -49,7 +48,7 @@ from .realization import (
     Colligation,
     RealizedFunction,
     SynthesisDiagnostics,
-    lurking_isometry_synthesize,
+    _synthesize_from_choi,
     transfer_eval,
 )
 from .sampling import sample_in_domain
@@ -112,18 +111,6 @@ class PickProblem:
     @property
     def dimU(self) -> int:
         return self.B0.shape[1] // self.n
-
-    def amplified(self, k: int) -> "PickProblem":
-        """The k-fold repeated problem (direct sums of node and data)."""
-        if k == 1:
-            return self
-        Zk = direct_sum_many([self.Z0] * k)
-        return PickProblem(
-            self.Q0,
-            Zk,
-            rep_diag(self.A0, k, self.dimE, self.dimY),
-            rep_diag(self.B0, k, self.dimE, self.dimU),
-        )
 
 
 @dataclass(frozen=True)
@@ -198,21 +185,16 @@ def multi_point_to_single(problems: Sequence[PickProblem]) -> PickProblem:
     return PickProblem(first.Q0, Z0, A0, B0)
 
 
-def pick_certificate(p: PickProblem, amplification: int | None = None,
+def pick_certificate(p: PickProblem,
                      rel_tol: float = 1e-9) -> tuple[PsdCertificate, ChoiMatrix]:
     """PSD certificate for solvability of the tangential problem.
 
-    Builds the de Branges-Rovnyak map at the k-fold amplified node
-    (default k = n * dimE) and certifies its Choi matrix.  The verdict is
-    independent of k; the default is the smallest amplification the Choi
-    criterion is quoted for.
+    Certifies the Choi matrix of the de Branges-Rovnyak map at the node
+    itself (level n); by Choi's theorem that one test decides complete
+    positivity.  ``min_eig`` is the node-level margin: a k-fold repeated
+    node would only scale the spectrum by k and add zeros.
     """
-    k = amplification if amplification is not None else p.n * p.dimE
-    if k < 1:
-        raise ValueError("amplification must be at least 1")
-    big = p.amplified(k)
-    M = dbr_map_matrix(big.Q0, big.Z0, big.A0, big.B0)
-    choi = map_matrix_to_choi(M, big.n, big.dimE * big.n)
+    choi = dbr_choi(p.Q0, p.Z0, p.A0, p.B0)
     return psd_check(choi.matrix, rel_tol=rel_tol), choi
 
 
@@ -232,34 +214,29 @@ class SolveReport:
         return max(self.contractivity_samples, default=0.0)
 
 
-def solve_pick(p: PickProblem, tol: float = 1e-9, amplification: int | None = None,
+def solve_pick(p: PickProblem, tol: float = 1e-9,
                samples: int = 100, sample_levels: Sequence[int] = (1, 2),
                seed: int = 0, rel_tol: float = 1e-9) -> SolveReport:
     """Certify, synthesize, and verify a single-point tangential problem.
 
-    On a PSD certificate the lurking-isometry construction runs on the
-    amplified data, the interpolation residual ||A0 S(Z0) - B0|| is
-    verified on the original data, and contractivity is spot-checked on
-    seeded in-domain samples.  Infeasible problems return the certificate
-    with ``feasible=False``.
+    On a PSD certificate the lurking-isometry construction factors the
+    certificate's Choi matrix (built once, tested once), the synthesis
+    reports the interpolation residual ||A0 S(Z0) - B0||, and contractivity
+    is spot-checked on seeded in-domain samples.  Infeasible problems
+    return the certificate with ``feasible=False``.
     """
-    cert, _ = pick_certificate(p, amplification=amplification, rel_tol=rel_tol)
+    cert, choi = pick_certificate(p, rel_tol=rel_tol)
     if not cert.is_psd:
         return SolveReport(False, cert)
-    k = amplification if amplification is not None else p.n * p.dimE
-    big = p.amplified(k)
-    col, diag = lurking_isometry_synthesize(big.Q0, big.Z0, big.A0, big.B0, tol=tol,
-                                            psd_tol=rel_tol)
+    col, diag = _synthesize_from_choi(p.Q0, p.Z0, p.A0, p.B0, choi, cert, tol=tol)
     f = RealizedFunction(col, p.Q0)
-    S0 = transfer_eval(f, p.Z0)
-    resid = float(np.linalg.norm(p.A0 @ S0 - p.B0, 2))
     rng = np.random.default_rng(seed)
     norms = []
     for lev in sample_levels:
         for _ in range(max(1, samples // max(1, len(sample_levels)))):
             Z = sample_in_domain(p.Q0, lev, rng, target=0.9)
             norms.append(operator_norm(transfer_eval(f, Z)))
-    return SolveReport(True, cert, col, resid, tuple(norms), diag)
+    return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +303,21 @@ def ltoa_certificate(p: LtoaProblem, rel_tol: float = 1e-9) -> PsdCertificate:
 
 
 def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
-                                amplification: int | None = None,
                                 rel_tol: float = 1e-9) -> PsdCertificate:
     """Stein-dominance test for the full value problem S(Z0) = Lambda0.
 
     Certifies complete positivity of P -> k(P) (x) I_Y - L (k(P) (x) I_U) L^*
-    at the n-fold amplified node (default), which is equivalent to the
-    amplified value dominating the amplified node in the Stein sense.
+    by one PSD test on its Choi matrix at the node's own level n, which is
+    equivalent to the value dominating the node in the Stein sense.
+    ``min_eig`` is the node-level margin.
     """
     L0 = np.asarray(Lambda0, dtype=complex)
     n = Z0.n
     if L0.shape[0] % n or L0.shape[1] % n:
         raise DimensionMismatchError("value must be over the level of Z0")
-    y, u = L0.shape[0] // n, L0.shape[1] // n
     if not in_domain(Q0, Z0):
         raise DomainError("node lies outside the disk of Q0")
-    k = amplification if amplification is not None else n
-    Zk = direct_sum_many([Z0] * k) if k > 1 else Z0
-    Lk = rep_diag(L0, k, y, u) if k > 1 else L0
-    A0 = np.eye(y * k * n, dtype=complex)
-    M = dbr_map_matrix(Q0, Zk, A0, Lk)
-    choi = map_matrix_to_choi(M, k * n, y * k * n)
+    choi = dbr_choi(Q0, Z0, np.eye(L0.shape[0], dtype=complex), L0)
     return psd_check(choi.matrix, rel_tol=rel_tol)
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "szego_map_matrix",
     "dbr_kernel",
     "dbr_map_matrix",
+    "dbr_choi",
     "map_matrix_to_choi",
     "sandwich_matrix",
 ]
@@ -218,22 +219,28 @@ class KolmogorovFactor:
         return np.hstack(self.blocks)
 
 
-def kolmogorov_factor(C: ChoiMatrix, rank_tol: float = KOLMOGOROV_RANK_TOL) -> KolmogorovFactor:
+def kolmogorov_factor(C: ChoiMatrix, rank_tol: float = KOLMOGOROV_RANK_TOL,
+                      psd_tol: float = PSD_REL_TOL) -> KolmogorovFactor:
     """Factor a PSD Choi matrix as [B_i B_j^*] by truncated eigendecomposition.
 
     Eigenvalues below ``rank_tol`` times the largest are dropped; the
     retained rank is the state-space dimension of the induced Kolmogorov
-    decomposition M(P) = H (P (x) I_X) H^*.
+    decomposition M(P) = H (P (x) I_X) H^*.  The PSD test reads the same
+    eigendecomposition with the dead band of ``psd_check`` at ``psd_tol``,
+    so a caller that already holds a certificate passes its ``rel_tol``.
     """
-    cert = psd_check(C.matrix, rel_tol=max(PSD_REL_TOL, rank_tol))
-    if not cert.is_psd:
-        raise NotPsdError(f"Choi matrix is not PSD (min eig {cert.min_eig:.3g})")
     if C.matrix.size == 0:
         return KolmogorovFactor(0, tuple(np.zeros((C.block_dim, 0), complex)
                                          for _ in range(C.n)))
+    # Frobenius norms keep the Hermiticity test O(N^2) next to the eigh
+    herm_defect = float(np.linalg.norm(C.matrix - C.matrix.conj().T))
+    if herm_defect > 1e-8 * max(1.0, float(np.linalg.norm(C.matrix))):
+        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
     H = 0.5 * (C.matrix + C.matrix.conj().T)
     vals, vecs = np.linalg.eigh(H)
-    top = float(vals[-1])
+    lo, top = float(vals[0]), float(vals[-1])
+    if lo < -psd_tol * max(1.0, top):
+        raise NotPsdError(f"Choi matrix is not PSD (min eig {lo:.3g})")
     if top <= 0.0:
         keep = np.zeros(vals.shape, dtype=bool)
     else:
@@ -443,6 +450,16 @@ def dbr_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> np.ndarray
         raise DimensionMismatchError("A0 and B0 must share the E row space")
     K = szego_map_matrix(Q0, Z, Z)
     return (sandwich_matrix(A0, Z.n) - sandwich_matrix(B0, Z.n)) @ K
+
+
+def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
+    """Choi matrix of the de Branges-Rovnyak map at the node Z.
+
+    The map is P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on n x n inputs;
+    its Choi matrix has n x n blocks of side (e n), the row dimension of A0.
+    """
+    A0 = np.asarray(A0, dtype=complex)
+    return map_matrix_to_choi(dbr_map_matrix(Q0, Z, A0, B0), Z.n, A0.shape[0])
 
 
 def map_matrix_to_choi(Mmat: np.ndarray, n: int, out_dim: int) -> ChoiMatrix:

@@ -36,12 +36,12 @@ from .core import (
     operator_norm,
 )
 from .kernels import (
+    KOLMOGOROV_RANK_TOL,
     ChoiMatrix,
     NotPsdError,
     PsdCertificate,
-    dbr_map_matrix,
+    dbr_choi,
     kolmogorov_factor,
-    map_matrix_to_choi,
     psd_check,
 )
 
@@ -220,13 +220,6 @@ class SynthesisDiagnostics:
     interp_residual: float = field(default=float("nan"))
 
 
-def _dbr_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0) -> ChoiMatrix:
-    n = Z0.n
-    e = np.asarray(a0).shape[0] // n
-    M = dbr_map_matrix(Q0, Z0, a0, b0)
-    return map_matrix_to_choi(M, n, e * n)
-
-
 def _unitary_completion(Q1: np.ndarray, images: np.ndarray, X: int, u: int, y: int,
                         r: int, rank: int) -> tuple[int, np.ndarray]:
     """Extend the partial isometry to a unitary, padding the state space.
@@ -235,7 +228,7 @@ def _unitary_completion(Q1: np.ndarray, images: np.ndarray, X: int, u: int, y: i
     orthonormal bases of the two defect spaces.  Raises ``ValueError``
     when no nonnegative pad exists for the block shapes.
     """
-    import scipy.linalg  # local for the reason given in lurking_isometry_synthesize
+    import scipy.linalg  # local for the reason given in _synthesize_from_choi
 
     if r == 1:
         if u != y:
@@ -301,11 +294,6 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     Raises ``NotPsdError`` when the data is infeasible and
     ``SynthesisConsistencyError`` on a Gram mismatch beyond 100 * tol.
     """
-    # scipy.linalg is imported here, not at module level: only synthesis
-    # needs it, and it adds about 0.25 s and 28 MB to every process that
-    # imports ncpick (evaluation and certificate commands included)
-    import scipy.linalg
-
     if completion not in ("zero", "unitary"):
         raise ValueError("completion must be 'zero' or 'unitary'")
     a0 = np.asarray(a0, dtype=complex)
@@ -313,20 +301,41 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     n = Z0.n
     if a0.shape[0] != b0.shape[0] or a0.shape[0] % n or a0.shape[1] % n or b0.shape[1] % n:
         raise DimensionMismatchError("tangential data must be over the level of Z0")
-    e_dim = a0.shape[0] // n
-    y = a0.shape[1] // n
-    u = b0.shape[1] // n
-    r = Q0.r
     if not in_domain(Q0, Z0):
         raise DomainError("interpolation node lies outside the disk")
-
-    choi = _dbr_choi(Q0, Z0, a0, b0)
+    choi = dbr_choi(Q0, Z0, a0, b0)
     cert = psd_check(choi.matrix, rel_tol=psd_tol)
     if not cert.is_psd:
         raise NotPsdError(
             f"de Branges-Rovnyak Choi matrix is not PSD (min eig {cert.min_eig:.3g})"
         )
-    factor = kolmogorov_factor(choi, rank_tol=rank_tol)
+    return _synthesize_from_choi(Q0, Z0, a0, b0, choi, cert, tol=tol, rank_tol=rank_tol,
+                                 completion=completion)
+
+
+def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarray,
+                          b0: np.ndarray, choi: ChoiMatrix, cert: PsdCertificate,
+                          tol: float, rank_tol: float = KOLMOGOROV_RANK_TOL,
+                          completion: str = "zero",
+                          ) -> tuple[Colligation, SynthesisDiagnostics]:
+    """Body of ``lurking_isometry_synthesize`` on validated data.
+
+    ``choi`` is the de Branges-Rovnyak Choi matrix of (Q0, Z0, a0, b0) and
+    ``cert`` its PSD certificate; the Kolmogorov factor applies the
+    certificate's dead band to its own eigendecomposition, so no second
+    ``psd_check`` runs on the matrix.
+    """
+    # scipy.linalg is imported here, not at module level: only synthesis
+    # needs it, and it adds about 0.25 s and 28 MB to every process that
+    # imports ncpick (evaluation and certificate commands included)
+    import scipy.linalg
+
+    n = Z0.n
+    e_dim = a0.shape[0] // n
+    y = a0.shape[1] // n
+    u = b0.shape[1] // n
+    r = Q0.r
+    factor = kolmogorov_factor(choi, rank_tol=rank_tol, psd_tol=cert.rel_tol)
     X = factor.rank
     H = factor.stacked  # (e n) x (n X), domain C^n (x) X
 

@@ -115,6 +115,10 @@ def test_03_classical_pick_oracle():
         assert cert.is_psd == bool(cls_min >= -dead_band)
         if min(abs(cert.min_eig), abs(cls_min)) > dead_band:
             assert np.sign(cert.min_eig) == np.sign(cls_min)
+        # the node-level Choi spectrum is the classical Pick spectrum plus
+        # N^2 - N zeros
+        want = cls_min if N == 1 else min(cls_min, 0.0)
+        assert abs(cert.min_eig - want) <= 1e-10 * max(1.0, cert.max_eig)
         checked += 1
     budget.finish(f"{checked} instances")
 

@@ -10,7 +10,9 @@ import pytest
 
 import ncpick
 from ncpick.cli import main
-from ncpick.realization import RealizedFunction, transfer_eval
+from ncpick.interpolation import stein_dominance_certificate
+from ncpick.realization import RealizedFunction, random_contractive_colligation, transfer_eval
+from ncpick.sampling import sample_in_domain
 from ncpick.serialize import (
     decode_colligation,
     decode_matrix,
@@ -115,6 +117,59 @@ class TestPick:
         _, _, out2 = run_cli(["pick-solve", "--seed", "3", "--samples", "5"],
                              payload, capsys, monkeypatch)
         assert out1 == out2
+
+    def _dead_band_payload(self):
+        # |S(0.3)| = 1.0001 is infeasible by a margin of -2.2e-4, inside a 1e-3 band
+        return {
+            "Q0": Z_POLY,
+            "Z0": encode_tuple(scalar_point(0.3)),
+            "A0": encode_matrix(np.eye(1)),
+            "B0": encode_matrix(1.0001 * np.eye(1)),
+        }
+
+    def test_solve_inside_dead_band_synthesizes(self, capsys, monkeypatch):
+        code, doc, _ = run_cli(["pick-solve", "--tol", "1e-3", "--samples", "10"],
+                               self._dead_band_payload(), capsys, monkeypatch)
+        assert code == 0 and doc["feasible"] and doc["verdict"] == "psd"
+        assert doc["min_eig"] == pytest.approx(-2.2e-4, rel=1e-2)
+        # the contractive colligation reaches 1, one band-width short of 1.0001
+        assert doc["interp_residual"] == pytest.approx(1e-4, rel=1e-6)
+        assert max(doc["contractivity_samples"]) <= 1 + 1e-9
+
+    def test_solve_outside_dead_band_is_negative(self, capsys, monkeypatch):
+        code, doc, _ = run_cli(["pick-solve", "--tol", "1e-9", "--samples", "10"],
+                               self._dead_band_payload(), capsys, monkeypatch)
+        assert code == 1 and not doc["feasible"] and doc["verdict"] == "not_psd"
+
+
+def _value_problem(scale):
+    """Level-3 node of the d = 2 ball and scale times a contractive value there."""
+    Q = NcMatrixPolynomial.row_pencil(2)
+    Z0 = sample_in_domain(Q, 3, np.random.default_rng(17), 0.6)
+    col = random_contractive_colligation(2, 1, 1, 2, seed=17)
+    return Q, Z0, scale * transfer_eval(RealizedFunction(col, Q), Z0)
+
+
+@pytest.mark.parametrize("tol", ["1e-18", "1e-12", "1e-9", "1e-6"])
+@pytest.mark.parametrize("command", ["pick-check", "stein-check"])
+@pytest.mark.parametrize("scale, verdict", [(0.7, "psd"), (3.0, "not_psd")])
+def test_verdict_stable_across_tol(capsys, monkeypatch, tol, command, scale, verdict):
+    Q, Z0, L0 = _value_problem(scale)
+    margin = stein_dominance_certificate(Q, Z0, L0)
+    if verdict == "psd":  # the node-level margin clears every band tried here
+        assert margin.min_eig >= 1e-6 * margin.max_eig
+    else:
+        assert margin.min_eig < -1e-6 * max(1.0, margin.max_eig)
+    base = {"Q0": encode_poly(Q), "Z0": encode_tuple(Z0)}
+    if command == "pick-check":
+        payload = {**base, "A0": encode_matrix(np.eye(3)), "B0": encode_matrix(L0)}
+    else:
+        payload = {**base, "Lambda0": encode_matrix(L0)}
+    code, doc, _ = run_cli([command, "--tol", tol], payload, capsys, monkeypatch)
+    assert doc["certificate"]["verdict"] == verdict
+    assert code == (0 if verdict == "psd" else 1)
+    if verdict == "psd":
+        assert doc["certificate"]["marginal"] is False
 
 
 class TestOtherCommands:

@@ -1,13 +1,19 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncpick import kernels
 from ncpick.core import (
     NcMatrixPolynomial,
     Word,
     _eval_word,
+    direct_sum_many,
     operator_norm,
+    rep_diag,
     similarity,
 )
 from ncpick.interpolation import (
@@ -44,6 +50,44 @@ def scalar_problem(z0, lam):
     return PickProblem(Z_SCALAR, scalar_point(z0), np.eye(1), lam * np.eye(1))
 
 
+def random_value_problem(d, n, y, u, t, seed):
+    """The pencil Q, a node Z0 in its disk, and t S(Z0) for a random contractive S."""
+    Q = NcMatrixPolynomial.row_pencil(d) if d > 1 else Z_SCALAR
+    rng = np.random.default_rng(seed)
+    Z0 = sample_in_domain(Q, n, rng, 0.6)
+    col = random_contractive_colligation(2, u, y, Q.r, seed=seed)
+    return Q, Z0, t * transfer_eval(RealizedFunction(col, Q), Z0)
+
+
+def repeated_spectrum(eigs, k, side):
+    """k * spec(C) with zeros padded to the side of the k-fold Choi matrix."""
+    return np.sort(np.concatenate([k * eigs, np.zeros(side - eigs.size)]))
+
+
+def count_calls(monkeypatch, module, name):
+    """Record calls to module.name from every ncpick module that bound it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ncpick") and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+# (d, n, y, u, target scale, repetitions k, seed); t spans both verdicts
+REPEATED_NODE_CASES = dict(
+    d=st.integers(1, 2), n=st.integers(1, 2), y=st.integers(1, 2),
+    u=st.integers(1, 2), t=st.floats(0.5, 1.5), k=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestPickCertificate:
     def test_origin_reduces_to_modulus(self):
         cert, _ = pick_certificate(scalar_problem(0.0, 0.8))
@@ -64,14 +108,22 @@ class TestPickCertificate:
         cert, _ = pick_certificate(PickProblem(Q, Z0, np.eye(2), Lam0))
         assert not cert.is_psd and cert.min_eig < -1e-8
 
-    def test_amplification_invariance(self, rng):
-        Q = NcMatrixPolynomial.row_pencil(2)
-        Z0 = sample_in_domain(Q, 2, rng, 0.6)
-        col = random_contractive_colligation(2, 1, 1, 2, seed=4)
-        Lam0 = transfer_eval(RealizedFunction(col, Q), Z0)
-        p = PickProblem(Q, Z0, np.eye(2), 1.05 * Lam0)
-        verdicts = {pick_certificate(p, amplification=k)[0].verdict for k in (1, 2, 3)}
-        assert len(verdicts) == 1
+    @given(e=st.integers(1, 2), **REPEATED_NODE_CASES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_repeated_node_scales_choi_spectrum(self, d, n, e, y, u, t, k, seed):
+        # Choi's theorem oracle: at the k-fold node (direct sums of node and
+        # data) the map is id_k (x) M up to a permutation, so its Choi
+        # spectrum is k spec(Choi_1) plus zeros and certifies nothing more
+        Q, Z0, S0 = random_value_problem(d, n, y, u, t, seed)
+        A0 = np.random.default_rng(seed + 1).standard_normal((e * n, y * n))
+        p = PickProblem(Q, Z0, A0, A0 @ S0)
+        pk = PickProblem(Q, direct_sum_many([Z0] * k), rep_diag(p.A0, k, e, y),
+                         rep_diag(p.B0, k, e, u))
+        eigs1 = np.linalg.eigvalsh(pick_certificate(p)[1].matrix)
+        choi_k = pick_certificate(pk)[1].matrix
+        want = repeated_spectrum(eigs1, k, choi_k.shape[0])
+        got = np.linalg.eigvalsh(choi_k)
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_verdict_invariance_under_row_rotation(self, rng):
         Q = NcMatrixPolynomial.row_pencil(2)
@@ -141,9 +193,7 @@ class TestMultiPoint:
         p2 = PickProblem(Q, Z2, a2, a2 @ transfer_eval(f, Z2))
         fused = multi_point_to_single([p1, p2])
         assert fused.n == 3 and fused.dimE == 3
-        # the verdict is amplification-invariant; the default n * dimE blows
-        # the Choi dimension up to 2187 here, so use a small override
-        rep = solve_pick(fused, samples=10, seed=0, amplification=2)
+        rep = solve_pick(fused, samples=10, seed=0)
         assert rep.feasible and rep.interp_residual <= 1e-8
 
     def test_two_point_matches_classical_pick(self, rng):
@@ -181,6 +231,20 @@ class TestSolvePick:
         p = PickProblem(Q, Z0, np.eye(2), np.zeros((2, 2)))
         rep = solve_pick(p, samples=10)
         assert rep.feasible and rep.interp_residual <= 1e-9
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_one_choi_build_and_one_psd_check(self, monkeypatch, rng, feasible):
+        # synthesis factors the certificate's Choi matrix and reuses its verdict
+        Q = NcMatrixPolynomial.row_pencil(2)
+        Z0 = sample_in_domain(Q, 2, rng, 0.5)
+        col = random_contractive_colligation(2, 1, 1, 2, seed=7)
+        B0 = 0.9 * transfer_eval(RealizedFunction(col, Q), Z0) if feasible else 1.5 * np.eye(2)
+        p = PickProblem(Q, Z0, np.eye(2), B0)
+        builds = count_calls(monkeypatch, kernels, "map_matrix_to_choi")
+        checks = count_calls(monkeypatch, kernels, "psd_check")
+        rep = solve_pick(p, samples=4)
+        assert rep.feasible == feasible
+        assert (len(builds), len(checks)) == (1, 1)
 
 
 class TestLtoa:
@@ -314,6 +378,18 @@ class TestSteinDominance:
             pick = pick_certificate(PickProblem(Q, Z0, np.eye(n), Lam0))[0]
             stein = stein_dominance_certificate(Q, Z0, Lam0)
             assert pick.verdict == stein.verdict
+
+    @given(**REPEATED_NODE_CASES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_repeated_node_scales_margins(self, d, n, y, u, t, k, seed):
+        # the k-fold Choi spectrum is k spec(Choi_1) plus zeros, read here
+        # through the certificate's extreme eigenvalues
+        Q, Z0, L0 = random_value_problem(d, n, y, u, t, seed)
+        one = stein_dominance_certificate(Q, Z0, L0)
+        rep_k = stein_dominance_certificate(Q, direct_sum_many([Z0] * k), rep_diag(L0, k, y, u))
+        scale = 1e-10 * max(1.0, k * abs(one.max_eig), k * abs(one.min_eig))
+        assert abs(rep_k.max_eig - k * max(one.max_eig, 0.0)) <= scale
+        assert abs(rep_k.min_eig - min(k * one.min_eig, 0.0)) <= scale
 
 
 class TestStrictSteinRefuter:
