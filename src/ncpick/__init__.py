@@ -49,11 +49,9 @@ from .interpolation import (
 )
 from .kernels import (
     ChoiMatrix,
-    CpMap,
     KolmogorovFactor,
     NotPsdError,
     PsdCertificate,
-    choi_matrix,
     cp_check_finite,
     dbr_kernel,
     kolmogorov_factor,

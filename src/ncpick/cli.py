@@ -127,11 +127,7 @@ def _cmd_cp_check(args) -> int:
     obj = _read_input(args)
     Q0 = decode_poly(obj["Q0"])
     points = [decode_tuple(p) for p in obj["points"]]
-
-    def kernel(Z, W, P):
-        return szego_kernel_solve(Q0, Z, W, P)
-
-    cert, choi = cp_check_finite(kernel, points, block_dim=1, rel_tol=args.tol)
+    cert, choi = cp_check_finite(Q0, points, rel_tol=args.tol)
     _emit({"certificate": encode_certificate(cert),
            "choi": encode_choi(choi)}, _params(args))
     return EXIT_OK if cert.is_psd else EXIT_NEGATIVE

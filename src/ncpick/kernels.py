@@ -6,11 +6,14 @@ the disk it is the unique solution T of the Stein identity
 
     T - Q0(Z) (T (x) I_R) Q0(W)* = P,
 
-computed by a dense linear solve on the vectorized equation.  A truncated
+computed by one dense linear solve on the vectorized equation.  A truncated
 geometric series with an a-priori tail bound is kept as an independent
-cross-check of the solve.  On top of that sit Choi matrices, PSD
-certificates, Kolmogorov factorizations, and the de Branges-Rovnyak kernel
-used by the interpolation criteria.
+cross-check of the solve.  A linear map on matrices is represented by its
+matrix on row-major vectorized inputs, and its Choi matrix is a reshape of
+that matrix (``map_matrix_to_choi``).  On top of that sit PSD certificates,
+Kolmogorov factorizations, the finite complete-positivity test of the Szego
+kernel, and the de Branges-Rovnyak kernel used by the interpolation
+criteria.
 
 Everything here is pure and operates on immutable inputs; callers may
 parallelize across independent (Z, W, P) triples.
@@ -19,7 +22,7 @@ parallelize across independent (Z, W, P) triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .core import (
     DomainError,
     MatrixTuple,
     NcMatrixPolynomial,
+    _eval_in_domain,
     _eval_poly,
     amp,
     operator_norm,
@@ -36,11 +40,9 @@ from .core import (
 __all__ = [
     "PsdCertificate",
     "ChoiMatrix",
-    "CpMap",
     "KolmogorovFactor",
     "NotPsdError",
     "psd_check",
-    "choi_matrix",
     "cp_check_finite",
     "kolmogorov_factor",
     "phi_map",
@@ -53,9 +55,6 @@ __all__ = [
     "map_matrix_to_choi",
     "sandwich_matrix",
 ]
-
-#: Dense 4-index storage for a cp map is kept only up to this level*block size.
-CPMAP_TENSOR_LIMIT = 64
 
 #: Relative eigenvalue threshold below which Kolmogorov ranks are truncated.
 KOLMOGOROV_RANK_TOL = 1e-10
@@ -92,23 +91,30 @@ class PsdCertificate:
         return self.verdict == "psd"
 
 
-def psd_check(M, rel_tol: float = PSD_REL_TOL, hermiticity_tol: float = 1e-8) -> PsdCertificate:
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^*) / 2, after checking that A is Hermitian up to 1e-8 relative.
+
+    Frobenius norms keep the test O(N^2) next to the eigendecomposition
+    that follows it.
+    """
+    herm_defect = float(np.linalg.norm(A - A.conj().T))
+    if herm_defect > 1e-8 * max(1.0, float(np.linalg.norm(A))):
+        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
+    return 0.5 * (A + A.conj().T)
+
+
+def psd_check(M, rel_tol: float = PSD_REL_TOL) -> PsdCertificate:
     """Certificate for M >= 0 via Hermitian eigendecomposition.
 
     The input is symmetrized first; a deviation from Hermiticity beyond
-    ``hermiticity_tol`` relative to the norm is an error.
+    1e-8 relative to the norm is an error.
     """
     A = np.asarray(M, dtype=complex)
     if A.size == 0:
         return PsdCertificate("psd", 0.0, 0.0, rel_tol)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError("psd_check needs a square matrix")
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
-    herm_defect = float(np.linalg.norm(A - A.conj().T, 2))
-    if herm_defect > hermiticity_tol * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
-    H = 0.5 * (A + A.conj().T)
-    eigs = np.linalg.eigvalsh(H)
+    eigs = np.linalg.eigvalsh(_hermitian_part(A))
     lo, hi = float(eigs[0]), float(eigs[-1])
     band = rel_tol * max(1.0, hi)
     verdict = "psd" if lo >= -band else "not_psd"
@@ -131,77 +137,6 @@ class ChoiMatrix:
             raise DimensionMismatchError("Choi matrix shape does not match n * block_dim")
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        b = self.block_dim
-        return self.matrix[i * b : (i + 1) * b, j * b : (j + 1) * b]
-
-
-class CpMap:
-    """A linear map P -> M(P) from n x n matrices to block_dim x block_dim ones.
-
-    Stores a dense 4-index tensor when ``n * block_dim`` is at most
-    ``CPMAP_TENSOR_LIMIT``; larger maps keep only the application closure.
-    """
-
-    def __init__(self, n: int, block_dim: int,
-                 apply: Callable[[np.ndarray], np.ndarray] | None = None,
-                 tensor: np.ndarray | None = None):
-        if apply is None and tensor is None:
-            raise ValueError("need an apply closure or a tensor")
-        self.n = int(n)
-        self.block_dim = int(block_dim)
-        self._apply = apply
-        if tensor is not None:
-            tensor = np.asarray(tensor, dtype=complex)
-            if tensor.shape != (block_dim, block_dim, n, n):
-                raise DimensionMismatchError("tensor must have shape (b, b, n, n)")
-        elif n * block_dim <= CPMAP_TENSOR_LIMIT:
-            tensor = np.empty((block_dim, block_dim, n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    unit = np.zeros((n, n), dtype=complex)
-                    unit[i, j] = 1.0
-                    tensor[:, :, i, j] = apply(unit)
-        self._tensor = tensor
-
-    def __call__(self, P) -> np.ndarray:
-        P = np.asarray(P, dtype=complex)
-        if P.shape != (self.n, self.n):
-            raise DimensionMismatchError("input must be n x n")
-        if self._tensor is not None:
-            return np.einsum("pqij,ij->pq", self._tensor, P)
-        return np.asarray(self._apply(P), dtype=complex)
-
-    def spot_check_linearity(self, rng: np.random.Generator, tol: float = 1e-8) -> bool:
-        # probe the raw closure when available: the cached tensor is linear
-        # by construction and would mask a nonlinear closure
-        action = self._apply if self._apply is not None else self.__call__
-        shape = (self.n, self.n)
-        P1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        P2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        a, b = complex(rng.standard_normal()), complex(rng.standard_normal())
-        lhs = np.asarray(action(a * P1 + b * P2))
-        rhs = a * np.asarray(action(P1)) + b * np.asarray(action(P2))
-        scale = max(1.0, float(np.linalg.norm(rhs)))
-        return bool(np.linalg.norm(lhs - rhs) <= tol * scale)
-
-
-def choi_matrix(M: CpMap, strict: bool = False, seed: int = 0) -> ChoiMatrix:
-    """Assemble the Choi matrix [M(E_ij)] of a linear map.
-
-    With ``strict`` a randomized linearity spot check runs first.
-    """
-    if strict and not M.spot_check_linearity(np.random.default_rng(seed)):
-        raise ValueError("map failed the linearity spot check")
-    n, b = M.n, M.block_dim
-    out = np.zeros((n * b, n * b), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            out[i * b : (i + 1) * b, j * b : (j + 1) * b] = M(unit)
-    return ChoiMatrix(n, b, out)
 
 
 @dataclass(frozen=True)
@@ -232,12 +167,7 @@ def kolmogorov_factor(C: ChoiMatrix, rank_tol: float = KOLMOGOROV_RANK_TOL,
     if C.matrix.size == 0:
         return KolmogorovFactor(0, tuple(np.zeros((C.block_dim, 0), complex)
                                          for _ in range(C.n)))
-    # Frobenius norms keep the Hermiticity test O(N^2) next to the eigh
-    herm_defect = float(np.linalg.norm(C.matrix - C.matrix.conj().T))
-    if herm_defect > 1e-8 * max(1.0, float(np.linalg.norm(C.matrix))):
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
-    H = 0.5 * (C.matrix + C.matrix.conj().T)
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = np.linalg.eigh(_hermitian_part(C.matrix))
     lo, top = float(vals[0]), float(vals[-1])
     if lo < -psd_tol * max(1.0, top):
         raise NotPsdError(f"Choi matrix is not PSD (min eig {lo:.3g})")
@@ -274,33 +204,37 @@ def phi_map(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P) -> np.nda
     return QZ @ amp(P, Q0.r) @ QW.conj().T
 
 
-def _phi_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple) -> np.ndarray:
-    """Matrix of Phi on row-major vectorized n x m inputs."""
-    n, m = Z.n, W.n
-    QZ = _eval_poly(Q0, Z)
-    QW = _eval_poly(Q0, W)
+def _phi_matrix(QZ: np.ndarray, QW: np.ndarray, r: int) -> np.ndarray:
+    """Matrix of Phi on row-major vectorized n x m inputs, from Q0(Z) and Q0(W).
+
+    For a one-row Q0 the values have shapes n x (r n) and m x (r m).
+    """
+    n, m = QZ.shape[0], QW.shape[0]
     M = np.zeros((n * m, n * m), dtype=complex)
-    for rho in range(Q0.r):
+    for rho in range(r):
         G = QZ[:, rho * n : (rho + 1) * n]
         H = QW[:, rho * m : (rho + 1) * m]
         M += np.kron(G, H.conj())
     return M
 
 
-def _require_in_disk(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple) -> tuple[float, float]:
-    rhoZ = operator_norm(_eval_poly(Q0, Z))
-    rhoW = operator_norm(_eval_poly(Q0, W))
-    if rhoZ >= 1.0 or rhoW >= 1.0:
-        raise DomainError(f"points must lie in the disk (norms {rhoZ:.3g}, {rhoW:.3g})")
-    return rhoZ, rhoW
+def _stein_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - Phi) x = rhs for row-major vectorized n x m unknowns.
+
+    Evaluates Q0 once per point (once in total when ``W is Z``) and raises
+    ``DomainError`` unless both points lie in the disk.
+    """
+    QZ = _eval_in_domain(Q0, Z)
+    QW = QZ if W is Z else _eval_in_domain(Q0, W)
+    nm = Z.n * W.n
+    return np.linalg.solve(np.eye(nm) - _phi_matrix(QZ, QW, Q0.r), rhs)
 
 
 def szego_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple) -> np.ndarray:
     """Matrix of P -> k_{Q0}(Z, W)(P) on row-major vectorized inputs."""
     _check_row_poly(Q0)
-    _require_in_disk(Q0, Z, W)
-    nm = Z.n * W.n
-    return np.linalg.solve(np.eye(nm) - _phi_matrix(Q0, Z, W), np.eye(nm))
+    return _stein_solve(Q0, Z, W, np.eye(Z.n * W.n))
 
 
 def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P) -> np.ndarray:
@@ -309,10 +243,7 @@ def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P
     P = np.asarray(P, dtype=complex)
     if P.shape != (Z.n, W.n):
         raise DimensionMismatchError("P must be level(Z) x level(W)")
-    _require_in_disk(Q0, Z, W)
-    nm = Z.n * W.n
-    vec = np.linalg.solve(np.eye(nm) - _phi_matrix(Q0, Z, W), P.reshape(-1))
-    return vec.reshape(Z.n, W.n)
+    return _stein_solve(Q0, Z, W, P.reshape(-1)).reshape(Z.n, W.n)
 
 
 def szego_kernel_series(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
@@ -358,17 +289,16 @@ def szego_tail_bound(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
 # ---------------------------------------------------------------------------
 
 
-def cp_check_finite(kernel: Callable[[MatrixTuple, MatrixTuple, np.ndarray], np.ndarray],
-                    Omega_F: Sequence[MatrixTuple], block_dim: int,
+def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
                     rel_tol: float = PSD_REL_TOL) -> tuple[PsdCertificate, ChoiMatrix]:
-    """Certify complete positivity of a kernel on a finite generating set.
+    """Certify complete positivity of the Szego kernel on a finite generating set.
 
-    ``kernel(Z, W, P)`` must return the value at pairs from ``Omega_F``,
-    a ``block_dim * n(Z) x block_dim * n(W)`` matrix for P of shape
-    ``n(Z) x n(W)``.  The Choi matrix of the kernel at the direct-sum point
-    is assembled blockwise from pairwise evaluations on matrix units (the
-    direct-sum extension of the kernel), so one PSD test certifies complete
-    positivity on the whole generated set.
+    The kernel respects direct sums, so on the set generated by ``Omega_F``
+    it is the map P -> k_{Q0}(Z, Z)(P) at the direct-sum point Z of level
+    N.  Its map matrix has, for each pair of points (a, b), the block
+    ``szego_map_matrix(Q0, Za, Zb)`` between the (a, b) blocks of input and
+    output, and zeros elsewhere; one PSD test on the Choi matrix (n = N,
+    block_dim = N) certifies complete positivity on the whole generated set.
     """
     if not Omega_F:
         raise ValueError("need at least one point")
@@ -378,24 +308,15 @@ def cp_check_finite(kernel: Callable[[MatrixTuple, MatrixTuple, np.ndarray], np.
     levels = [Z.n for Z in Omega_F]
     N = sum(levels)
     offs = np.concatenate(([0], np.cumsum(levels))).astype(int)
-    b = int(block_dim)
-    # choi4[I, row, J, col] = M(E_IJ)[row, col] for the map M at the sum point
-    choi4 = np.zeros((N, b * N, N, b * N), dtype=complex)
+    # map4[row, col, i, j] = k(E_ij)[row, col] for the map at the sum point
+    map4 = np.zeros((N, N, N, N), dtype=complex)
     for ai, Za in enumerate(Omega_F):
+        a = slice(offs[ai], offs[ai] + Za.n)
         for bi, Zb in enumerate(Omega_F):
-            for i in range(Za.n):
-                for j in range(Zb.n):
-                    unit = np.zeros((Za.n, Zb.n), dtype=complex)
-                    unit[i, j] = 1.0
-                    val = np.asarray(kernel(Za, Zb, unit), dtype=complex)
-                    if val.shape != (b * Za.n, b * Zb.n):
-                        raise DimensionMismatchError("kernel value has unexpected shape")
-                    big = np.zeros((b, N, b, N), dtype=complex)
-                    big[:, offs[ai] : offs[ai] + Za.n, :, offs[bi] : offs[bi] + Zb.n] = (
-                        val.reshape(b, Za.n, b, Zb.n)
-                    )
-                    choi4[offs[ai] + i, :, offs[bi] + j, :] = big.reshape(b * N, b * N)
-    C = ChoiMatrix(N, b * N, choi4.reshape(N * b * N, N * b * N))
+            b = slice(offs[bi], offs[bi] + Zb.n)
+            K = szego_map_matrix(Q0, Za, Zb)
+            map4[a, b, a, b] = K.reshape(Za.n, Zb.n, Za.n, Zb.n)
+    C = map_matrix_to_choi(map4.reshape(N * N, N * N), N, N)
     return psd_check(C.matrix, rel_tol=rel_tol), C
 
 

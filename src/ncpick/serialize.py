@@ -36,7 +36,7 @@ __all__ = [
 
 def encode_matrix(M) -> list:
     A = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+    return np.stack([A.real, A.imag], -1).tolist()
 
 
 def decode_matrix(obj) -> np.ndarray:

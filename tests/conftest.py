@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,19 @@ def jordan_cell(lam: complex, n: int) -> np.ndarray:
     J = np.diag(np.full(n, complex(lam)))
     J += np.diag(np.ones(n - 1), 1) if n > 1 else 0.0
     return J
+
+
+def count_calls(monkeypatch, module, name):
+    """Record calls to module.name from every ncpick module that bound it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ncpick") and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -1,12 +1,11 @@
 import itertools
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpick import kernels
+from ncpick import core, kernels
 from ncpick.core import (
     NcMatrixPolynomial,
     Word,
@@ -35,7 +34,7 @@ from ncpick.realization import (
 )
 from ncpick.sampling import sample_in_domain
 
-from conftest import mt, scalar_point
+from conftest import count_calls, mt, scalar_point
 
 
 def classical_pick_matrix(zs, lams):
@@ -62,22 +61,6 @@ def random_value_problem(d, n, y, u, t, seed):
 def repeated_spectrum(eigs, k, side):
     """k * spec(C) with zeros padded to the side of the k-fold Choi matrix."""
     return np.sort(np.concatenate([k * eigs, np.zeros(side - eigs.size)]))
-
-
-def count_calls(monkeypatch, module, name):
-    """Record calls to module.name from every ncpick module that bound it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("ncpick") and \
-                getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
 
 
 # (d, n, y, u, target scale, repetitions k, seed); t spans both verdicts
@@ -124,6 +107,15 @@ class TestPickCertificate:
         want = repeated_spectrum(eigs1, k, choi_k.shape[0])
         got = np.linalg.eigvalsh(choi_k)
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    def test_one_node_evaluation_and_norm(self, monkeypatch):
+        # the Stein solve evaluates Q0(Z0) once and checks its norm once
+        Q, Z0, S0 = random_value_problem(2, 3, 1, 1, 0.9, seed=4)
+        p = PickProblem(Q, Z0, np.eye(3), S0)
+        evals = count_calls(monkeypatch, core, "_eval_poly")
+        norms = count_calls(monkeypatch, core, "operator_norm")
+        pick_certificate(p)
+        assert (len(evals), len(norms)) == (1, 1)
 
     def test_verdict_invariance_under_row_rotation(self, rng):
         Q = NcMatrixPolynomial.row_pencil(2)

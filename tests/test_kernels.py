@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ncpick import kernels
 from ncpick.core import DomainError, MatrixTuple, NcMatrixPolynomial, amp
 from ncpick.kernels import (
     ChoiMatrix,
-    CpMap,
     NotPsdError,
-    choi_matrix,
     cp_check_finite,
     dbr_kernel,
     kolmogorov_factor,
+    map_matrix_to_choi,
     phi_map,
     psd_check,
     szego_kernel_series,
@@ -22,7 +22,7 @@ from ncpick.kernels import (
 )
 from ncpick.sampling import random_row_poly, sample_in_domain
 
-from conftest import mt, scalar_point
+from conftest import count_calls, mt, scalar_point
 
 
 class TestPsdCheck:
@@ -48,40 +48,46 @@ class TestPsdCheck:
         with pytest.raises(ValueError):
             psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    # psd_check and kolmogorov_factor share one Hermiticity test
+    @pytest.mark.parametrize("check", [psd_check,
+                                       lambda A: kolmogorov_factor(ChoiMatrix(1, 2, A))])
+    def test_shared_hermiticity_test(self, check, rng):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        S = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        check(G @ G.conj().T + 1e-12 * (S - S.conj().T))
+
+
+def transpose_vec_matrix(n):
+    """Vec-matrix of P -> P^T on row-major vectorized n x n inputs."""
+    return np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
+
 
 class TestChoi:
     def test_identity_map(self):
-        M = CpMap(2, 2, apply=lambda P: P)
-        C = choi_matrix(M)
+        C = map_matrix_to_choi(np.eye(4), 2, 2)
         # maximally entangled form: rank one, PSD, min eig 0
         vals = np.linalg.eigvalsh(C.matrix)
         assert np.sum(vals > 1e-12) == 1
         assert psd_check(C.matrix).is_psd
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_transpose_map_not_cp(self):
+    def test_transpose_map_not_cp(self, rng):
         # eigen-decomposition oracle: the swap matrix has eigenvalue -1
-        M = CpMap(2, 2, apply=lambda P: P.T)
-        C = choi_matrix(M)
+        T = transpose_vec_matrix(2)
+        P = rng.standard_normal((2, 2))
+        assert np.array_equal((T @ P.reshape(-1)).reshape(2, 2), P.T)
+        C = map_matrix_to_choi(T, 2, 2)
         vals = np.linalg.eigvalsh(C.matrix)
         assert vals[0] == pytest.approx(-1.0)
         assert not psd_check(C.matrix).is_psd
 
     def test_trace_map(self):
-        M = CpMap(2, 2, apply=lambda P: np.trace(P) * np.eye(2))
-        C = choi_matrix(M)
+        # P -> tr(P) I has vec-matrix vec(I) vec(I)^T
+        vecI = np.eye(2).reshape(-1)
+        C = map_matrix_to_choi(np.outer(vecI, vecI), 2, 2)
         assert np.allclose(C.matrix, np.eye(4))
-
-    def test_linearity_spot_check(self, rng):
-        good = CpMap(2, 2, apply=lambda P: P + P.T)
-        assert good.spot_check_linearity(rng)
-        bad = CpMap(2, 2, apply=lambda P: P + np.eye(2))
-        assert not bad.spot_check_linearity(rng)
-
-    def test_tensor_storage_matches_closure(self, rng):
-        M = CpMap(3, 3, apply=lambda P: P @ np.diag([1.0, 2.0, 3.0]))
-        P = rng.standard_normal((3, 3))
-        assert np.allclose(M(P), P @ np.diag([1.0, 2.0, 3.0]))
 
 
 class TestKolmogorov:
@@ -220,43 +226,65 @@ class TestSzegoKernel:
                            szego_kernel_solve(Q, Z, Z, P))
 
 
+def per_unit_cp_choi(Q, points):
+    """Choi matrix of the Szego kernel at the direct-sum point, one solve per matrix unit.
+
+    Reference for ``cp_check_finite``: column block (I, J) holds k(E_IJ) at
+    the sum point, built from pairwise ``szego_kernel_solve`` calls.
+    """
+    levels = [Z.n for Z in points]
+    N = sum(levels)
+    offs = np.concatenate(([0], np.cumsum(levels))).astype(int)
+    choi4 = np.zeros((N, N, N, N), dtype=complex)
+    for ai, Za in enumerate(points):
+        for bi, Zb in enumerate(points):
+            for i in range(Za.n):
+                for j in range(Zb.n):
+                    unit = np.zeros((Za.n, Zb.n), dtype=complex)
+                    unit[i, j] = 1.0
+                    big = np.zeros((N, N), dtype=complex)
+                    big[offs[ai] : offs[ai] + Za.n, offs[bi] : offs[bi] + Zb.n] = (
+                        szego_kernel_solve(Q, Za, Zb, unit))
+                    choi4[offs[ai] + i, :, offs[bi] + j, :] = big
+    return choi4.reshape(N * N, N * N)
+
+
 class TestCpCheckFinite:
-    @staticmethod
-    def _kolmogorov_kernel(rng, d, e):
-        Hs = {}
-
-        def kernel(Z, W, P):
-            for T in (Z, W):
-                if id(T) not in Hs:
-                    Hs[id(T)] = rng.standard_normal((e * T.n, T.n * 2)) \
-                        + 1j * rng.standard_normal((e * T.n, T.n * 2))
-            HZ, HW = Hs[id(Z)], Hs[id(W)]
-            return HZ @ np.kron(np.asarray(P), np.eye(2)) @ HW.conj().T
-
-        return kernel
-
-    def test_kolmogorov_form_is_psd(self, rng):
-        pts = [mt(rng.standard_normal((1, 1))), mt(rng.standard_normal((2, 2)))]
-        cert, _ = cp_check_finite(self._kolmogorov_kernel(rng, 1, 2), pts, block_dim=2)
-        assert cert.is_psd
-
-    def test_negated_identity_kernel_fails(self):
-        def kernel(Z, W, P):
-            return -np.asarray(P, dtype=complex)
-
-        cert, _ = cp_check_finite(kernel, [mt(np.zeros((2, 2)))], block_dim=1)
-        assert not cert.is_psd
-
     def test_szego_kernel_cp_on_random_points(self, rng):
         Q = random_row_poly(rng, 2, r=2, degree=1)
         pts = [sample_in_domain(Q, 1, rng, 0.6), sample_in_domain(Q, 2, rng, 0.6)]
-
-        def kernel(Z, W, P):
-            return szego_kernel_solve(Q, Z, W, P)
-
-        cert, choi = cp_check_finite(kernel, pts, block_dim=1)
+        cert, choi = cp_check_finite(Q, pts)
         assert cert.is_psd
         assert choi.n == 3 and choi.block_dim == 3
+
+    @given(d=st.integers(1, 2), r=st.integers(1, 2),
+           levels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_matches_per_unit_assembly(self, d, r, levels, seed):
+        rng = np.random.default_rng(seed)
+        Q = random_row_poly(rng, d, r=r, degree=2, terms=3)
+        pts = [sample_in_domain(Q, lev, rng, 0.7) for lev in levels]
+        cert, choi = cp_check_finite(Q, pts)
+        want = per_unit_cp_choi(Q, pts)
+        N = sum(levels)
+        assert (choi.n, choi.block_dim) == (N, N)
+        assert np.abs(choi.matrix - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert cert.is_psd
+        assert cert.min_eig == pytest.approx(np.linalg.eigvalsh(want)[0], abs=1e-10)
+
+    def test_point_outside_disk_raises(self):
+        Q = NcMatrixPolynomial.scalar_univariate([0, 1])
+        with pytest.raises(DomainError):
+            cp_check_finite(Q, [scalar_point(0.5), scalar_point(1.5)])
+
+    def test_one_map_matrix_per_pair(self, rng, monkeypatch):
+        Q = random_row_poly(rng, 2, r=2, degree=1)
+        pts = [sample_in_domain(Q, lev, rng, 0.6) for lev in (1, 2, 2)]
+        maps = count_calls(monkeypatch, kernels, "szego_map_matrix")
+        solves = count_calls(monkeypatch, kernels, "szego_kernel_solve")
+        cp_check_finite(Q, pts)
+        assert (len(maps), len(solves)) == (len(pts) ** 2, 0)
 
 
 class TestDbrKernel:

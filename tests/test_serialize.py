@@ -42,6 +42,19 @@ class TestMatrixCodec:
         with pytest.raises(ValueError):
             decode_matrix([[[1.0]]])
 
+    @pytest.mark.parametrize("M", [
+        np.array([[complex(-0.0, -0.0), 5e-324 + 1j], [np.nan + 0j, complex(np.inf, -np.inf)]]),
+        np.array([0.5, -0.0, 2.0 + 3.0j]),
+        np.array(-0.0 + 2j),
+        np.arange(6, dtype=float).reshape(2, 3),
+        np.zeros((2, 0)),
+    ])
+    def test_encode_matches_elementwise_json(self, M):
+        # elementwise encoding kept as the reference: same JSON bytes
+        A = np.atleast_2d(np.asarray(M, dtype=complex))
+        want = [[[float(z.real), float(z.imag)] for z in row] for row in A]
+        assert json.dumps(encode_matrix(M)) == json.dumps(want)
+
 
 class TestTupleCodec:
     def test_round_trip(self, rng):
