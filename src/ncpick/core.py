@@ -276,10 +276,7 @@ class NcMatrixPolynomial:
 def _eval_word(Z: MatrixTuple, a: Word) -> np.ndarray:
     if a.d != Z.d:
         raise DimensionMismatchError("word alphabet does not match the tuple")
-    out = np.eye(Z.n, dtype=complex)
-    for k in a.letters:
-        out = out @ Z.components[k - 1]
-    return out
+    return _word_stack(_as_stack(Z), a)[0]
 
 
 def eval_word(Z: MatrixTuple, a: Word) -> BlockMatrix:
@@ -287,29 +284,55 @@ def eval_word(Z: MatrixTuple, a: Word) -> BlockMatrix:
     return BlockMatrix(_eval_word(Z, a))
 
 
-def _homogeneous_parts(Q: NcMatrixPolynomial, Z: MatrixTuple) -> dict[int, np.ndarray]:
-    """Q(Z) split by word length: ``{k: H_k(Z)}``, H_k(Z) = sum_{|w|=k} coeff_w (x) Z**w.
+def _as_stack(Z: MatrixTuple) -> np.ndarray:
+    """One point as a stack of K = 1 points, shape (1, d, n, n)."""
+    return np.array(Z.components)[None]
 
-    Only degrees that carry a term appear, so ``Q(t Z) = sum_k t**k H_k(Z)``.
+
+def _word_stack(Zs: np.ndarray, a: Word) -> np.ndarray:
+    """Z**a at each point of a stack ``Zs`` of shape (K, d, n, n)."""
+    if not a.letters:
+        K, _, n, _ = Zs.shape
+        return np.broadcast_to(np.eye(n, dtype=complex), (K, n, n))
+    out = Zs[:, a.letters[0] - 1]
+    for k in a.letters[1:]:
+        out = out @ Zs[:, k - 1]
+    return out
+
+
+def _homogeneous_parts_stack(Q: NcMatrixPolynomial, Zs: np.ndarray) -> dict[int, np.ndarray]:
+    """Q(Z) split by word length at each point of a stack ``Zs`` of shape (K, d, n, n).
+
+    Returns ``{k: H_k}`` with H_k of shape (K, s n, r n) and
+    H_k(Z) = sum_{|w|=k} coeff_w (x) Z**w, so ``Q(t Z) = sum_k t**k H_k(Z)``.
+    Only degrees that carry a term appear.
     """
-    if Q.d != Z.d:
+    K, d, n, _ = Zs.shape
+    if Q.d != d:
         raise DimensionMismatchError("polynomial and point have different d")
+    words: dict[int, list[Word]] = {}
+    for w in Q.terms:
+        words.setdefault(len(w), []).append(w)
     parts: dict[int, np.ndarray] = {}
-    for w, coeff in Q.terms.items():
-        term = np.kron(coeff, _eval_word(Z, w))
-        if len(w) in parts:
-            parts[len(w)] += term
-        else:
-            parts[len(w)] = term
+    for k, ws in words.items():
+        coeffs = np.array([Q.terms[w] for w in ws])
+        values = np.stack([_word_stack(Zs, w) for w in ws], axis=1)
+        # coeff (x) Z**w in the coefficient-major layout, summed over the words
+        parts[k] = np.einsum("wsr,kwij->ksirj", coeffs, values).reshape(K, Q.s * n, Q.r * n)
     return parts
 
 
-def _eval_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
-    n = Z.n
-    out = np.zeros((Q.s * n, Q.r * n), dtype=complex)
-    for part in _homogeneous_parts(Q, Z).values():
+def _eval_poly_stack(Q: NcMatrixPolynomial, Zs: np.ndarray) -> np.ndarray:
+    """Q(Z) at each point of a stack ``Zs`` of shape (K, d, n, n): shape (K, s n, r n)."""
+    K, _, n, _ = Zs.shape
+    out = np.zeros((K, Q.s * n, Q.r * n), dtype=complex)
+    for part in _homogeneous_parts_stack(Q, Zs).values():
         out += part
     return out
+
+
+def _eval_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
+    return _eval_poly_stack(Q, _as_stack(Z))[0]
 
 
 def eval_nc_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> BlockMatrix:
@@ -320,12 +343,16 @@ def eval_nc_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> BlockMatrix:
 
 def operator_norm(M) -> float:
     """Largest singular value of a matrix (or BlockMatrix)."""
-    A = np.asarray(M, dtype=complex)
-    if A.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(A)):
+    return float(_operator_norms(np.asarray(M, dtype=complex)[None])[0])
+
+
+def _operator_norms(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack of shape (K, a, b)."""
+    if M.shape[1] == 0 or M.shape[2] == 0:
+        return np.zeros(M.shape[0])
+    if not np.all(np.isfinite(M)):
         raise ValueError("operator norm of a matrix with non-finite entries")
-    return float(np.linalg.norm(A, 2))
+    return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 
 def domain_margin(Q: NcMatrixPolynomial, Z: MatrixTuple) -> float:

@@ -29,6 +29,7 @@ from .core import (
     NcMatrixPolynomial,
     _eval_poly,
     _eval_word,
+    _operator_norms,
     amp,
     direct_sum_many,
     in_domain,
@@ -49,9 +50,9 @@ from .realization import (
     RealizedFunction,
     SynthesisDiagnostics,
     _synthesize_from_choi,
-    transfer_eval,
+    _transfer_stack,
 )
-from .sampling import sample_in_domain
+from .sampling import _sample_stack
 
 __all__ = [
     "PickProblem",
@@ -222,20 +223,23 @@ def solve_pick(p: PickProblem, tol: float = 1e-9,
     On a PSD certificate the lurking-isometry construction factors the
     certificate's Choi matrix (built once, tested once), the synthesis
     reports the interpolation residual ||A0 S(Z0) - B0||, and contractivity
-    is spot-checked on seeded in-domain samples.  Infeasible problems
-    return the certificate with ``feasible=False``.
+    is spot-checked on seeded in-domain samples: the
+    ``samples // len(sample_levels)`` points of each level are drawn,
+    scaled and evaluated as one stack, with Q0 evaluated once per point.
+    Infeasible problems return the certificate with ``feasible=False``.
     """
     cert, choi = pick_certificate(p, rel_tol=rel_tol)
     if not cert.is_psd:
         return SolveReport(False, cert)
     col, diag = _synthesize_from_choi(p.Q0, p.Z0, p.A0, p.B0, choi, cert, tol=tol)
-    f = RealizedFunction(col, p.Q0)
     rng = np.random.default_rng(seed)
-    norms = []
+    per_level = max(1, samples // max(1, len(sample_levels)))
+    norms: list[float] = []
     for lev in sample_levels:
-        for _ in range(max(1, samples // max(1, len(sample_levels)))):
-            Z = sample_in_domain(p.Q0, lev, rng, target=0.9)
-            norms.append(operator_norm(transfer_eval(f, Z)))
+        # the samples' Q0 values have norm below 0.9, which is also the
+        # transfer function's domain check
+        _, QZ = _sample_stack(p.Q0, lev, per_level, rng, target=0.9)
+        norms += _operator_norms(_transfer_stack(col, QZ)).tolist()
     return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
 
 
@@ -315,8 +319,6 @@ def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0
     n = Z0.n
     if L0.shape[0] % n or L0.shape[1] % n:
         raise DimensionMismatchError("value must be over the level of Z0")
-    if not in_domain(Q0, Z0):
-        raise DomainError("node lies outside the disk of Q0")
     choi = dbr_choi(Q0, Z0, np.eye(L0.shape[0], dtype=complex), L0)
     return psd_check(choi.matrix, rel_tol=rel_tol)
 

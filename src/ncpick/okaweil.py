@@ -25,7 +25,13 @@ from .core import (
     operator_norm,
     word_concat,
 )
-from .realization import RealizedFunction, amplify, transfer_eval
+from .realization import (
+    Colligation,
+    RealizedFunction,
+    _readout,
+    _state_maps,
+    _transfer_stack,
+)
 
 __all__ = [
     "TruncationReport",
@@ -52,20 +58,17 @@ def partial_sum_eval(f: RealizedFunction, Z: MatrixTuple, L: int) -> np.ndarray:
     """
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
-    col = f.colligation
-    QZ = _eval_in_domain(f.Q0, Z)
-    n, X = Z.n, col.dimX
-    An, Bn, Cn, Dn = amplify(col, n)
-    if X == 0:
-        return Dn
-    Lop = np.kron(QZ, np.eye(X))
-    G = Lop @ An
-    term = Lop @ Bn
+    return _partial_sum_stack(f.colligation, _eval_in_domain(f.Q0, Z)[None], L)[0]
+
+
+def _partial_sum_stack(col: Colligation, QZ: np.ndarray, L: int) -> np.ndarray:
+    """``partial_sum_eval`` at K points of one level from their values Q0(Z), (K, n, r n)."""
+    G, term = _state_maps(col, QZ)
     acc = term.copy()
     for _ in range(L):
         term = G @ term
         acc += term
-    return Dn + Cn @ acc
+    return _readout(col, acc, QZ.shape[1])
 
 
 def extract_nc_polynomial(f: RealizedFunction, L: int,
@@ -160,12 +163,15 @@ def uniform_error_report(f: RealizedFunction, K_samples: Sequence[MatrixTuple],
     col = f.colligation
     if operator_norm(col.A) > 1 + 1e-10:
         raise ValueError("the a-priori bound needs a contractive colligation")
-    rho = max(operator_norm(_eval_poly(f.Q0, Z)) for Z in K_samples)
+    # Q0 is evaluated and normed once per sample; both sums start from that value
+    values = [_eval_poly(f.Q0, Z) for Z in K_samples]
+    rho = max(operator_norm(QZ) for QZ in values)
     if rho >= 1.0:
         raise DomainError("a sample lies outside the strict subdomain")
     errs = tuple(
-        float(np.linalg.norm(transfer_eval(f, Z) - partial_sum_eval(f, Z, L), 2))
-        for Z in K_samples
+        float(np.linalg.norm(_transfer_stack(col, QZ[None])[0]
+                             - _partial_sum_stack(col, QZ[None], L)[0], 2))
+        for QZ in values
     )
     bound = operator_norm(col.C) * operator_norm(col.B) * rho ** (L + 1) / (1.0 - rho)
     return TruncationReport(L, rho, errs, bound, max(errs))

@@ -12,10 +12,18 @@ direction: from feasible single-point tangential data it factors the
 de Branges-Rovnyak Choi matrix and reads a contractive colligation off the
 Gram-equal vector families.
 
-Amplified operators use these layouts (all coefficient-major elsewhere):
+Level-n operators use these layouts (all coefficient-major elsewhere):
 state space at level n is C^n (x) X (point index outer), the tensor slot
 is R (x) C^n (x) X (tensor index outermost), inputs/outputs are
 U (x) C^n and Y (x) C^n.
+
+The transfer function is evaluated from the value Q0(Z) alone, on a stack
+of K points of one level at a time: with E_rho the n x n block of Q0(Z)
+in tensor slot rho, ``(Q0(Z) (x) I_X) A^(n) = sum_rho E_rho (x) A_rho``,
+so one ``einsum`` per block, one stacked ``solve`` and one ``einsum`` for
+C replace the amplified colligation and its Kronecker products.  A single
+point is the stack K = 1.  ``amplify`` still builds the amplified blocks
+explicitly; no evaluation path uses it.
 """
 
 from __future__ import annotations
@@ -27,12 +35,10 @@ import numpy as np
 
 from .core import (
     DimensionMismatchError,
-    DomainError,
     MatrixTuple,
     NcMatrixPolynomial,
     _eval_in_domain,
     _eval_poly,
-    in_domain,
     operator_norm,
 )
 from .kernels import (
@@ -161,17 +167,45 @@ def transfer_eval(f: RealizedFunction, Z: MatrixTuple) -> np.ndarray:
 
     Returns the (dimY n) x (dimU n) value in the coefficient-major layout.
     """
-    col = f.colligation
-    QZ = _eval_in_domain(f.Q0, Z)
-    n, X = Z.n, col.dimX
-    An, Bn, Cn, Dn = amplify(col, n)
-    if X == 0:
-        return Dn
-    L = np.kron(QZ, np.eye(X))
-    G = L @ An
-    K = L @ Bn
-    body = np.linalg.solve(np.eye(n * X) - G, K)
-    return Dn + Cn @ body
+    return _transfer_stack(f.colligation, _eval_in_domain(f.Q0, Z)[None])[0]
+
+
+def _state_maps(col: Colligation, QZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q0(Z) (x) I_X) A^(n)`` and ``(Q0(Z) (x) I_X) B^(n)`` for a stack of values.
+
+    ``QZ`` holds Q0(Z) at K points of level n, shape (K, n, r n).  With
+    E_rho the n x n block of Q0(Z) in tensor slot rho, the state map is
+    G = sum_rho E_rho (x) A_rho on C^n (x) X and the input map sends
+    U (x) C^n to sum_rho E_rho[i, j] B_rho, so neither the amplified
+    colligation nor ``Q0(Z) (x) I_X`` is formed.
+    """
+    K, n = QZ.shape[0], QZ.shape[1]
+    X, u, r = col.dimX, col.dimU, col.r
+    E = QZ.reshape(K, n, r, n)
+    G = np.einsum("kirj,rvx->kivjx", E, col.A.reshape(r, X, X)).reshape(K, n * X, n * X)
+    B = np.einsum("kirj,rvu->kivuj", E, col.B.reshape(r, X, u)).reshape(K, n * X, u * n)
+    return G, B
+
+
+def _readout(col: Colligation, state: np.ndarray, n: int) -> np.ndarray:
+    """``D^(n) + C^(n) state`` for a stack of (n dimX) x (dimU n) state blocks."""
+    K = state.shape[0]
+    X, u, y = col.dimX, col.dimU, col.dimY
+    out = np.einsum("yx,kixc->kyic", col.C, state.reshape(K, n, X, u * n))
+    Dn = col.D[:, None, :, None] * np.eye(n)[:, None, :]  # D (x) I_n, coefficient-major
+    return out.reshape(K, y * n, u * n) + Dn.reshape(y * n, u * n)
+
+
+def _transfer_stack(col: Colligation, QZ: np.ndarray) -> np.ndarray:
+    """Transfer-function values at K points of one level from their Q0 values.
+
+    ``QZ`` has shape (K, n, r n) and every Q0(Z) must lie in the disk
+    (the caller has checked the norms); returns shape (K, dimY n, dimU n).
+    """
+    n = QZ.shape[1]
+    G, B = _state_maps(col, QZ)
+    state = np.linalg.solve(np.eye(n * col.dimX) - G, B)
+    return _readout(col, state, n)
 
 
 def colligation_contraction_check(col: Colligation, tol: float = 1e-9) -> PsdCertificate:
@@ -291,7 +325,8 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     defect spaces match and extends by a unitary between them, when the
     block shapes allow it (ValueError otherwise).
 
-    Raises ``NotPsdError`` when the data is infeasible and
+    Raises ``DomainError`` (from the Stein solve) when Z0 lies outside the
+    disk of Q0, ``NotPsdError`` when the data is infeasible and
     ``SynthesisConsistencyError`` on a Gram mismatch beyond 100 * tol.
     """
     if completion not in ("zero", "unitary"):
@@ -301,8 +336,6 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     n = Z0.n
     if a0.shape[0] != b0.shape[0] or a0.shape[0] % n or a0.shape[1] % n or b0.shape[1] % n:
         raise DimensionMismatchError("tangential data must be over the level of Z0")
-    if not in_domain(Q0, Z0):
-        raise DomainError("interpolation node lies outside the disk")
     choi = dbr_choi(Q0, Z0, a0, b0)
     cert = psd_check(choi.matrix, rel_tol=psd_tol)
     if not cert.is_psd:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncpick.core import MatrixTuple
+from ncpick.realization import amplify
 
 
 @pytest.fixture
@@ -41,3 +42,44 @@ def count_calls(monkeypatch, module, name):
                 getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+# Direct formulas kept as oracles for the Kronecker-free evaluators
+
+
+def kron_eval_poly(Q, Z: MatrixTuple) -> np.ndarray:
+    """Q(Z) = sum_w coeff_w (x) Z**w, one ``np.kron`` per word."""
+    out = np.zeros((Q.s * Z.n, Q.r * Z.n), dtype=complex)
+    for w, coeff in Q.terms.items():
+        Zw = np.eye(Z.n, dtype=complex)
+        for k in w.letters:
+            Zw = Zw @ Z.components[k - 1]
+        out += np.kron(coeff, Zw)
+    return out
+
+
+def _amplified_maps(col, QZ):
+    n, X = QZ.shape[0], col.dimX
+    An, Bn, Cn, Dn = amplify(col, n)
+    L = np.kron(QZ, np.eye(X))
+    return L @ An, L @ Bn, Cn, Dn
+
+
+def amplified_transfer(col, QZ: np.ndarray) -> np.ndarray:
+    """Transfer function from Q0(Z) through the amplified colligation."""
+    G, K, Cn, Dn = _amplified_maps(col, QZ)
+    if col.dimX == 0:
+        return Dn
+    return Dn + Cn @ np.linalg.solve(np.eye(G.shape[0]) - G, K)
+
+
+def amplified_partial_sum(col, QZ: np.ndarray, L: int) -> np.ndarray:
+    """Neumann partial sum D + sum_{j<=L} C G^j K through the amplified colligation."""
+    G, K, Cn, Dn = _amplified_maps(col, QZ)
+    if col.dimX == 0:
+        return Dn
+    term, acc = K, K.copy()
+    for _ in range(L):
+        term = G @ term
+        acc = acc + term
+    return Dn + Cn @ acc

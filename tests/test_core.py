@@ -9,8 +9,11 @@ from ncpick.core import (
     DimensionMismatchError,
     NcMatrixPolynomial,
     Word,
+    MatrixTuple,
+    _as_stack,
     _eval_poly,
-    _homogeneous_parts,
+    _eval_poly_stack,
+    _homogeneous_parts_stack,
     check_intertwining,
     direct_sum,
     eval_nc_poly,
@@ -22,7 +25,7 @@ from ncpick.core import (
     word_transpose,
 )
 
-from conftest import jordan_cell, mt, scalar_point
+from conftest import jordan_cell, kron_eval_poly, mt, scalar_point
 
 words = st.integers(1, 3).flatmap(
     lambda d: st.tuples(st.just(d), st.lists(st.integers(1, d), max_size=6))
@@ -149,12 +152,30 @@ class TestEvalPoly:
         Q = NcMatrixPolynomial.from_term_list(
             2, 1, 1, [(w, [[c]]) for w, c in coeffs.items()])
         Z = mt(*(rng.standard_normal((3, 3)) for _ in range(2)))
-        parts = _homogeneous_parts(Q, Z)
+        parts = {k: H[0] for k, H in _homogeneous_parts_stack(Q, _as_stack(Z)).items()}
         assert sorted(parts) == [0, 1, 2, 3]
         assert np.allclose(parts[2], -2.0 * Z.components[1] @ Z.components[0]
                            + 1j * Z.components[0] @ Z.components[1])
         t = 0.7
         assert np.allclose(sum(t**k * H for k, H in parts.items()), _eval_poly(Q, Z.scaled(t)))
+
+
+    @given(d=st.integers(1, 3), n=st.integers(1, 4), K=st.integers(1, 5),
+           s=st.integers(1, 2), r=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_stack_matches_kronecker_oracle(self, d, n, K, s, r, seed):
+        # each slice of the stacked evaluation is sum_w coeff_w (x) Z**w
+        rng = np.random.default_rng(seed)
+        words = [(), (1,)] + [tuple(rng.integers(1, d + 1, size=k)) for k in (1, 2, 2, 3)]
+        Q = NcMatrixPolynomial.from_term_list(
+            d, s, r, [(w, rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r)))
+                      for w in words])
+        Zs = rng.standard_normal((K, d, n, n)) + 1j * rng.standard_normal((K, d, n, n))
+        got = _eval_poly_stack(Q, Zs)
+        assert got.shape == (K, s * n, r * n)
+        for k in range(K):
+            want = kron_eval_poly(Q, MatrixTuple(tuple(Zs[k])))
+            assert np.linalg.norm(got[k] - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
 class TestOperatorNorm:

@@ -1,11 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpick import core, kernels
+from ncpick import core, interpolation, kernels, sampling
 from ncpick.core import (
     NcMatrixPolynomial,
     Word,
@@ -32,9 +33,9 @@ from ncpick.realization import (
     random_contractive_colligation,
     transfer_eval,
 )
-from ncpick.sampling import sample_in_domain
+from ncpick.sampling import random_row_poly, sample_in_domain
 
-from conftest import count_calls, mt, scalar_point
+from conftest import amplified_transfer, count_calls, kron_eval_poly, mt, scalar_point
 
 
 def classical_pick_matrix(zs, lams):
@@ -239,6 +240,87 @@ class TestSolvePick:
         assert (len(builds), len(checks)) == (1, 1)
 
 
+def contractivity_q0(kind, d, rng):
+    """A one-row Q0: the row pencil, or a random degree-2 polynomial without
+    or with a constant term (the last two make sampling bisect)."""
+    if kind == "row_pencil":
+        return NcMatrixPolynomial.row_pencil(d)
+    Q = random_row_poly(rng, d, 2, degree=2, include_constant=kind == "quadratic_constant")
+    # a constant term of norm 0.3 leaves room for the node (0.5) and the samples (0.9)
+    return NcMatrixPolynomial(d, 1, 2, {
+        w: 0.3 * c / operator_norm(c) if not len(w) else c for w, c in Q.terms.items()})
+
+
+def per_sample_contractivity(col, Q0, samples, sample_levels, seed):
+    """The verification loop as solve_pick ran it point by point: one
+    ``sample_in_domain`` and one amplified transfer-function value per sample."""
+    rng = np.random.default_rng(seed)
+    points, norms = [], []
+    for lev in sample_levels:
+        for _ in range(max(1, samples // max(1, len(sample_levels)))):
+            Z = sample_in_domain(Q0, lev, rng, target=0.9)
+            points.append(np.stack(Z.components))
+            norms.append(operator_norm(amplified_transfer(col, kron_eval_poly(Q0, Z))))
+    return points, norms, rng
+
+
+class TestContractivitySamples:
+    @given(kind=st.sampled_from(["row_pencil", "quadratic", "quadratic_constant"]),
+           d=st.integers(1, 3), dimX=st.sampled_from([0, 1, 6]),
+           y=st.integers(1, 2), u=st.integers(1, 2),
+           levels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           samples=st.integers(1, 12), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_per_sample_loop(self, kind, d, dimX, y, u, levels, samples, seed):
+        rng = np.random.default_rng(seed)
+        Q0 = contractivity_q0(kind, d, rng)
+        Z0 = sample_in_domain(Q0, 1, rng, 0.5)
+        p = PickProblem(Q0, Z0, np.eye(1), np.zeros((1, 1)))
+        # verify a colligation of the wanted state dimension in place of the
+        # synthesized one, so every dimX is covered whatever synthesis returns
+        col = random_contractive_colligation(dimX, u, y, Q0.r, seed=seed)
+        synthesize = interpolation._synthesize_from_choi
+        drawn = []
+
+        def substitute(*args, **kwargs):
+            return col, synthesize(*args, **kwargs)[1]
+
+        def recording(Q, n, K, gen, target):
+            Zs, QZ = sampling._sample_stack(Q, n, K, gen, target)
+            drawn.append((Zs, gen))
+            return Zs, QZ
+
+        with mock.patch.object(interpolation, "_synthesize_from_choi", substitute), \
+                mock.patch.object(interpolation, "_sample_stack", recording):
+            rep = solve_pick(p, samples=samples, sample_levels=levels, seed=seed)
+        points, want, oracle_rng = per_sample_contractivity(col, Q0, samples, levels, seed)
+        assert rep.feasible and rep.colligation is col
+        assert len(rep.contractivity_samples) == len(want)
+        np.testing.assert_allclose(rep.contractivity_samples, want, rtol=1e-12, atol=0)
+        assert (max(want) <= 1 + 1e-9) == (rep.max_sampled_norm <= 1 + 1e-9)
+        # identical draws: the same points, and the generator read to the same state
+        got = [Z for Zs, _ in drawn for Z in Zs]
+        assert len(got) == len(points)
+        for a, b in zip(got, points):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        assert drawn[-1][1].bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_node_work_does_not_grow_with_samples(self, monkeypatch):
+        # Q0 and its norm are computed at the node and in synthesis only; the
+        # samples are evaluated in stacks (the parent made 2 + 2 per sample)
+        Q, Z0, S0 = random_value_problem(2, 2, 1, 1, 0.9, seed=5)
+        p = PickProblem(Q, Z0, np.eye(2), S0)
+        counts = []
+        for samples in (4, 40, 400):
+            evals = count_calls(monkeypatch, core, "_eval_poly")
+            norms = count_calls(monkeypatch, core, "operator_norm")
+            rep = solve_pick(p, samples=samples)
+            monkeypatch.undo()
+            assert rep.feasible and len(rep.contractivity_samples) == samples
+            counts.append((len(evals), len(norms)))
+        assert counts[0] == counts[1] == counts[2]
+
+
 class TestLtoa:
     def test_constant_function(self, rng):
         c = rng.standard_normal((1, 2))
@@ -347,6 +429,18 @@ class TestSteinDominance:
         Z0 = scalar_point(0.0)
         assert stein_dominance_certificate(Z_SCALAR, Z0, 0.8 * np.eye(1)).is_psd
         assert not stein_dominance_certificate(Z_SCALAR, Z0, 1.2 * np.eye(1)).is_psd
+
+    def test_one_node_evaluation_and_norm(self, monkeypatch):
+        # the Stein solve is the only domain check (the parent made 2 + 2)
+        Q, Z0, S0 = random_value_problem(2, 3, 1, 1, 0.9, seed=4)
+        evals = count_calls(monkeypatch, core, "_eval_poly")
+        norms = count_calls(monkeypatch, core, "operator_norm")
+        stein_dominance_certificate(Q, Z0, S0)
+        assert (len(evals), len(norms)) == (1, 1)
+
+    def test_node_outside_disk_raises(self):
+        with pytest.raises(core.DomainError, match="outside the disk"):
+            stein_dominance_certificate(Z_SCALAR, scalar_point(1.5), 0.5 * np.eye(1))
 
     def test_forward_values_dominate(self, rng):
         Q = NcMatrixPolynomial.row_pencil(2)

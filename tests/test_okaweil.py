@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpick import core, okaweil, realization
 from ncpick.core import DomainError, NcMatrixPolynomial, Word, _eval_poly
@@ -16,9 +18,16 @@ from ncpick.realization import (
     random_contractive_colligation,
     transfer_eval,
 )
-from ncpick.sampling import sample_in_domain
+from ncpick.sampling import random_row_poly, sample_in_domain
 
-from conftest import mt, scalar_point
+from conftest import (
+    amplified_partial_sum,
+    amplified_transfer,
+    count_calls,
+    kron_eval_poly,
+    mt,
+    scalar_point,
+)
 
 
 def shift_function():
@@ -79,6 +88,26 @@ class TestPartialSums:
         transfer_eval(f, Z)
         partial_sum_eval(f, Z, 4)
         assert len(calls) == 2
+
+
+class TestKroneckerFreeKernel:
+    @given(d=st.integers(1, 3), n=st.integers(1, 4), dimX=st.sampled_from([0, 1, 2, 6]),
+           y=st.integers(1, 2), u=st.integers(1, 2), degree=st.integers(1, 2),
+           L=st.integers(0, 6), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_amplified_colligation(self, d, n, dimX, y, u, degree, L, seed):
+        # transfer_eval and partial_sum_eval against the amplified-colligation
+        # formulas (amplify, Q0(Z) (x) I_X), which they no longer use
+        rng = np.random.default_rng(seed)
+        Q = random_row_poly(rng, d, int(rng.integers(1, 3)), degree=degree)
+        f = RealizedFunction(random_contractive_colligation(dimX, u, y, Q.r, seed=seed), Q)
+        Z = sample_in_domain(Q, n, rng, 0.7)
+        QZ = kron_eval_poly(Q, Z)
+        for got, want in ((transfer_eval(f, Z), amplified_transfer(f.colligation, QZ)),
+                          (partial_sum_eval(f, Z, L),
+                           amplified_partial_sum(f.colligation, QZ, L))):
+            assert got.shape == want.shape == (y * n, u * n)
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
 class TestExtraction:
@@ -155,6 +184,18 @@ class TestUniformErrorReport:
         errs = [uniform_error_report(f, samples, L).observed_max for L in range(2, 9)]
         for e1, e2 in zip(errs, errs[1:]):
             assert e2 <= e1 + 1e-12
+
+    def test_one_q0_evaluation_and_norm_per_sample(self, rng, monkeypatch):
+        # rho, the exact value and the partial sum share one Q0(Z) per sample
+        Q = NcMatrixPolynomial.row_pencil(2)
+        f = RealizedFunction(random_contractive_colligation(3, 1, 2, 2, seed=5), Q)
+        samples = [sample_in_domain(Q, n, rng, 0.5) for n in (1, 2, 3, 2, 1)]
+        evals = count_calls(monkeypatch, core, "_eval_poly")
+        norms = count_calls(monkeypatch, core, "operator_norm")
+        uniform_error_report(f, samples, 4)
+        assert len(evals) == len(samples)
+        # plus ||A|| for the contractivity test and ||C||, ||B|| for the bound
+        assert len(norms) == len(samples) + 3
 
     def test_sample_outside_subdomain_rejected(self):
         f = mobius_function()

@@ -202,6 +202,12 @@ class TestSynthesis:
         with pytest.raises(NotPsdError):
             lurking_isometry_synthesize(Q, Z0, np.eye(1), 1.5 * np.eye(1))
 
+    def test_node_outside_disk_raises(self):
+        # the Stein solve inside the Choi build is the domain check
+        Q = NcMatrixPolynomial.scalar_univariate([0, 1])
+        with pytest.raises(DomainError, match="outside the disk"):
+            lurking_isometry_synthesize(Q, scalar_point(1.5), np.eye(1), 0.5 * np.eye(1))
+
     def test_unitary_completion_r1(self, rng):
         Q = NcMatrixPolynomial.scalar_univariate([0, 1])
         Z0 = sample_in_domain(Q, 2, rng, 0.5)

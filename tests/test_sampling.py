@@ -80,16 +80,36 @@ class TestScaleIntoDomain:
         assert abs(scale_factor(Z, out) - t_oracle) <= 1e-9 * t_oracle
 
     def test_homogeneous_uses_few_norms(self, rng, monkeypatch):
-        # one norm of H_k and one check, with a rare step below for rounding
+        # one norm of H_k and one check, with a rare step below for rounding;
+        # both norm helpers are counted, and the lower bound shows they are used
         calls = []
-        monkeypatch.setattr(sampling, "operator_norm",
-                            lambda M: calls.append(1) or operator_norm(M))
+        for name in ("operator_norm", "_operator_norms"):
+            helper = getattr(sampling, name)
+            monkeypatch.setattr(sampling, name,
+                                lambda M, helper=helper: calls.append(1) or helper(M))
         Q0 = NcMatrixPolynomial.row_pencil(2)
         for n in (1, 2, 3, 6):
             calls.clear()
             for _ in range(20):
                 scale_into_domain(Q0, random_tuple(rng, 2, n), target=0.9)
-            assert len(calls) <= 2 * 20 + 2
+            assert 2 * 20 <= len(calls) <= 2 * 20 + 2
+
+    @given(st.sampled_from(sorted(POLYS)), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 6), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_stack_matches_per_point_loop(self, kind, d, n, K, target, seed):
+        # K points of one stack against K sample_in_domain calls: same draws,
+        # the same points, and values that are Q0 at those points under target
+        Q0 = POLYS[kind](np.random.default_rng(seed), d, target)
+        rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        Zs, QZ = sampling._sample_stack(Q0, n, K, rng_a, target=target)
+        for k in range(K):
+            Z = sample_in_domain(Q0, n, rng_b, target=target)
+            np.testing.assert_allclose(Zs[k], np.stack(Z.components), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(QZ[k], _eval_poly(Q0, MatrixTuple(tuple(Zs[k]))),
+                                       rtol=1e-12, atol=1e-15)
+            assert target * (1 - 1e-9) <= operator_norm(QZ[k]) < target
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_same_directions_as_random_tuple(self):
         Q0 = NcMatrixPolynomial.diag_pencil(2)
