@@ -34,17 +34,18 @@ from .kernels import szego_kernel_solve, cp_check_finite
 from .okaweil import uniform_error_report
 from .realization import RealizedFunction, transfer_eval
 from .serialize import (
+    JsonText,
     decode_colligation,
     decode_matrix,
     decode_poly,
     decode_tuple,
     encode_certificate,
-    encode_choi,
     encode_colligation,
     encode_matrix,
     encode_poly,
     encode_truncation_report,
     encode_witness,
+    matrix_json,
 )
 
 SCHEMA_VERSION = 1
@@ -54,9 +55,31 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
+_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _holds_text(obj) -> bool:
+    return isinstance(obj, JsonText) or (
+        isinstance(obj, dict) and any(_holds_text(v) for v in obj.values()))
+
+
+def _dumps(obj) -> str:
+    """Compact sorted-key JSON that writes ``JsonText`` dict values verbatim.
+
+    Equals ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with
+    each ``JsonText`` in place of the value it encodes.  Only dicts that
+    hold one are walked here; anything else goes to ``json`` in one call.
+    """
+    if isinstance(obj, JsonText):
+        return obj.text
+    if not _holds_text(obj):
+        return _SORTED.encode(obj)
+    return "{" + ",".join(f"{_SORTED.encode(k)}:{_dumps(obj[k])}" for k in sorted(obj)) + "}"
+
+
 def _emit(payload: dict, params: dict) -> None:
     payload = {"v": SCHEMA_VERSION, **payload, "params": params}
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _params(args: argparse.Namespace) -> dict:
@@ -128,8 +151,10 @@ def _cmd_cp_check(args) -> int:
     Q0 = decode_poly(obj["Q0"])
     points = [decode_tuple(p) for p in obj["points"]]
     cert, choi = cp_check_finite(Q0, points, rel_tol=args.tol)
+    # the fields of serialize.encode_choi, with the matrix written as JSON text
     _emit({"certificate": encode_certificate(cert),
-           "choi": encode_choi(choi)}, _params(args))
+           "choi": {"n": choi.n, "block_dim": choi.block_dim,
+                    "matrix": matrix_json(choi.matrix)}}, _params(args))
     return EXIT_OK if cert.is_psd else EXIT_NEGATIVE
 
 

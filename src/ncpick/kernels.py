@@ -10,7 +10,8 @@ computed by one dense linear solve on the vectorized equation.  A truncated
 geometric series with an a-priori tail bound is kept as an independent
 cross-check of the solve.  A linear map on matrices is represented by its
 matrix on row-major vectorized inputs, and its Choi matrix is a reshape of
-that matrix (``map_matrix_to_choi``).  On top of that sit PSD certificates,
+that matrix (``map_matrix_to_choi``; ``cp_check_finite`` applies the same
+reshape to rectangular pair blocks).  On top of that sit PSD certificates,
 Kolmogorov factorizations, the finite complete-positivity test of the Szego
 kernel, and the de Branges-Rovnyak kernel used by the interpolation
 criteria.
@@ -295,10 +296,15 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
 
     The kernel respects direct sums, so on the set generated by ``Omega_F``
     it is the map P -> k_{Q0}(Z, Z)(P) at the direct-sum point Z of level
-    N.  Its map matrix has, for each pair of points (a, b), the block
-    ``szego_map_matrix(Q0, Za, Zb)`` between the (a, b) blocks of input and
-    output, and zeros elsewhere; one PSD test on the Choi matrix (n = N,
-    block_dim = N) certifies complete positivity on the whole generated set.
+    N.  For points a, b the map sends the (a, b) input block into the
+    (a, b) output block by ``szego_map_matrix(Q0, Za, Zb)`` and is zero
+    elsewhere, so every Choi row (i, r) with r outside the block of i is
+    exactly zero.  The PSD test runs on the Choi matrix restricted to its
+    support, of side sum_a n_a^2 and built one pair block at a time: its
+    spectrum is the full spectrum less the structural zeros, so
+    ``min_eig`` is the margin of the data, not of the padding.  The
+    returned Choi matrix (n = N, block_dim = N) is the full one, with the
+    support block scattered into zeros.
     """
     if not Omega_F:
         raise ValueError("need at least one point")
@@ -307,17 +313,22 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
         raise DimensionMismatchError("points have different variable counts")
     levels = [Z.n for Z in Omega_F]
     N = sum(levels)
-    offs = np.concatenate(([0], np.cumsum(levels))).astype(int)
-    # map4[row, col, i, j] = k(E_ij)[row, col] for the map at the sum point
-    map4 = np.zeros((N, N, N, N), dtype=complex)
+    sq = np.concatenate(([0], np.cumsum([n * n for n in levels]))).astype(int)
+    support_choi = np.empty((sq[-1], sq[-1]), dtype=complex)
     for ai, Za in enumerate(Omega_F):
-        a = slice(offs[ai], offs[ai] + Za.n)
         for bi, Zb in enumerate(Omega_F):
-            b = slice(offs[bi], offs[bi] + Zb.n)
             K = szego_map_matrix(Q0, Za, Zb)
-            map4[a, b, a, b] = K.reshape(Za.n, Zb.n, Za.n, Zb.n)
-    C = map_matrix_to_choi(map4.reshape(N * N, N * N), N, N)
-    return psd_check(C.matrix, rel_tol=rel_tol), C
+            support_choi[sq[ai] : sq[ai + 1], sq[bi] : sq[bi + 1]] = _choi_reshuffle(
+                K, (Za.n, Zb.n), (Za.n, Zb.n))
+    cert = psd_check(support_choi, rel_tol=rel_tol)
+    # support: Choi indices i * N + r with i and r in the same point's block,
+    # in Choi order, which is also the pair-block order above
+    offs = np.concatenate(([0], np.cumsum(levels))).astype(int)
+    support = np.concatenate([(np.arange(o, o + n)[:, None] * N + np.arange(o, o + n)).ravel()
+                              for o, n in zip(offs, levels)])
+    full = np.zeros((N * N, N * N), dtype=complex)
+    full[np.ix_(support, support)] = support_choi
+    return cert, ChoiMatrix(N, N, full)
 
 
 def sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
@@ -383,6 +394,18 @@ def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
     return map_matrix_to_choi(dbr_map_matrix(Q0, Z, A0, B0), Z.n, A0.shape[0])
 
 
+def _choi_reshuffle(Mmat: np.ndarray, in_shape: tuple[int, int],
+                    out_shape: tuple[int, int]) -> np.ndarray:
+    """Choi block [M(E_ij)] of a map from n x m inputs to p x q outputs.
+
+    ``Mmat`` is the (p q) x (n m) matrix of the map on row-major vec inputs,
+    column i * m + j holding vec(M(E_ij)); the result has rows (i, row) and
+    columns (j, col), side (n p) x (m q).
+    """
+    (n, m), (p, q) = in_shape, out_shape
+    return Mmat.reshape(p, q, n, m).transpose(2, 0, 3, 1).reshape(n * p, m * q)
+
+
 def map_matrix_to_choi(Mmat: np.ndarray, n: int, out_dim: int) -> ChoiMatrix:
     """Choi matrix of a map given by its matrix on row-major vec inputs.
 
@@ -392,6 +415,4 @@ def map_matrix_to_choi(Mmat: np.ndarray, n: int, out_dim: int) -> ChoiMatrix:
     Mmat = np.asarray(Mmat, dtype=complex)
     if Mmat.shape != (out_dim * out_dim, n * n):
         raise DimensionMismatchError("map matrix has unexpected shape")
-    tens = Mmat.reshape(out_dim, out_dim, n, n)
-    choi = tens.transpose(2, 0, 3, 1).reshape(n * out_dim, n * out_dim)
-    return ChoiMatrix(n, out_dim, choi)
+    return ChoiMatrix(n, out_dim, _choi_reshuffle(Mmat, (n, n), (out_dim, out_dim)))

@@ -376,9 +376,12 @@ def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarra
     K = n * en  # family size: n coordinate rows, en basis vectors
     Hh = H.conj().T  # (n X) x (e n), columns indexed by the basis of E^n
 
+    # Q0(Z0), evaluated once for the D family and the interpolation residual;
+    # the certificate's Stein solve has already checked that Z0 is in the disk
+    QZ0 = _eval_poly(Q0, Z0)
     # top of the D family: rows (rho, i, x) of (Q0(Z0)^* (x) I_X) H^* e
     if X > 0:
-        T1 = np.kron(_eval_poly(Q0, Z0).conj().T, np.eye(X)) @ Hh
+        T1 = np.kron(QZ0.conj().T, np.eye(X)) @ Hh
         Dtop = T1.reshape(r, n, X, en).transpose(0, 2, 1, 3).reshape(r * X, K)
         Rtop = Hh.reshape(n, X, en).transpose(1, 0, 2).reshape(X, K)
     else:
@@ -435,7 +438,7 @@ def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarra
     D = Ustar[X:, r * X :].conj().T
     col = Colligation(X, u, y, r, A, B, C, D, flags=flags)
 
-    S0 = transfer_eval(RealizedFunction(col, Q0), Z0)
+    S0 = _transfer_stack(col, QZ0[None])[0]
     resid = float(np.linalg.norm(a0 @ S0 - b0, 2))
     diag_out = SynthesisDiagnostics(
         choi_min_eig=cert.min_eig,

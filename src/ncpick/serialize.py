@@ -4,10 +4,16 @@ Complex scalars are ``[re, im]`` pairs, matrices are row-major nested
 arrays of those pairs.  Every decoder validates shapes and raises
 ``ValueError`` on malformed payloads so the CLI can map them to its error
 exit code.
+
+``matrix_json`` writes a matrix straight to its compact JSON text, the
+bytes ``json`` gives for ``encode_matrix``; exact +0.0 entries and rows
+share one encoded copy, so a mostly-zero Choi matrix costs its nonzeros.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -19,7 +25,9 @@ from .okaweil import TruncationReport
 from .realization import Colligation
 
 __all__ = [
+    "JsonText",
     "encode_matrix",
+    "matrix_json",
     "decode_matrix",
     "encode_tuple",
     "decode_tuple",
@@ -37,6 +45,46 @@ __all__ = [
 def encode_matrix(M) -> list:
     A = np.atleast_2d(np.asarray(M, dtype=complex))
     return np.stack([A.real, A.imag], -1).tolist()
+
+
+@dataclass(frozen=True)
+class JsonText:
+    """Finished JSON text for a writer to insert verbatim.
+
+    Not a ``str``: handing it to ``json`` raises instead of quoting it.
+    """
+
+    text: str
+
+
+# json.dumps(..., separators=(",", ":")) as one reusable encoder
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def matrix_json(M) -> JsonText:
+    """``json.dumps(encode_matrix(M), separators=(",", ":"))``, paying only for nonzeros.
+
+    An entry whose float64 bits are all zero (+0.0 in both parts; -0.0 and
+    NaN have nonzero bits) is written as one shared encoded pair, and a row
+    of them as one shared encoded row.  The other entries' floats go
+    through the ``json`` encoder in one flat list, so every float has the
+    formatting it has in any other ncpick document.
+    """
+    A = np.ascontiguousarray(np.atleast_2d(np.asarray(M, dtype=complex)))
+    if A.ndim != 2:
+        raise ValueError("matrix_json encodes two-dimensional arrays")
+    nonzero = A.view(np.uint64).reshape(*A.shape, 2).any(axis=2)
+    live = nonzero.any(axis=1)
+    zero = _COMPACT.encode([0.0, 0.0])
+    zero_row = "[" + ",".join([zero] * A.shape[1]) + "]"
+    cells = np.full((int(live.sum()), A.shape[1]), zero, dtype=object)
+    # float reprs hold no commas; with no nonzero entry the split leaves one
+    # empty string and zip makes no pair
+    floats = iter(_COMPACT.encode(A[nonzero].view(np.float64).tolist())[1:-1].split(","))
+    cells[nonzero[live]] = [f"[{re},{im}]" for re, im in zip(floats, floats)]
+    rows = iter(cells.tolist())
+    return JsonText("[" + ",".join("[" + ",".join(next(rows)) + "]" if row_live else zero_row
+                                   for row_live in live) + "]")
 
 
 def decode_matrix(obj) -> np.ndarray:

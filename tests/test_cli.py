@@ -11,11 +11,14 @@ import pytest
 import ncpick
 from ncpick.cli import main
 from ncpick.interpolation import stein_dominance_certificate
+from ncpick.kernels import cp_check_finite
 from ncpick.realization import RealizedFunction, random_contractive_colligation, transfer_eval
 from ncpick.sampling import sample_in_domain
 from ncpick.serialize import (
     decode_colligation,
     decode_matrix,
+    encode_certificate,
+    encode_choi,
     encode_matrix,
     encode_poly,
     encode_tuple,
@@ -170,6 +173,36 @@ def test_verdict_stable_across_tol(capsys, monkeypatch, tol, command, scale, ver
     assert code == (0 if verdict == "psd" else 1)
     if verdict == "psd":
         assert doc["certificate"]["marginal"] is False
+
+
+SCALAR_NODES = (0.3, -0.5, 0.1j)
+
+
+@pytest.mark.parametrize("tol", ["1e-18", "1e-15", "1e-12", "1e-9", "1e-6", "1e-3"])
+def test_cp_check_margin_is_the_pick_matrix(capsys, monkeypatch, tol):
+    # the classical Pick matrix of the three nodes has min eig 0.0167, so no
+    # band from 1e-18 to 1e-3 makes the verdict marginal or negative
+    payload = {"Q0": Z_POLY, "points": [encode_tuple(scalar_point(z)) for z in SCALAR_NODES]}
+    code, doc, _ = run_cli(["cp-check", "--tol", tol], payload, capsys, monkeypatch)
+    assert code == 0
+    cert = doc["certificate"]
+    assert cert["verdict"] == "psd" and cert["marginal"] is False
+    assert cert["min_eig"] == pytest.approx(0.016688, rel=1e-4)
+
+
+def test_cp_check_stdout_matches_json_encoder(capsys, monkeypatch, rng):
+    # a three-point input with levels 1, 2, 2: 16 of the 25 Choi rows are zero
+    Q = NcMatrixPolynomial.row_pencil(2)
+    points = [sample_in_domain(Q, lev, rng, 0.6) for lev in (1, 2, 2)]
+    payload = {"Q0": encode_poly(Q), "points": [encode_tuple(Z) for Z in points]}
+    code, _, out = run_cli(["cp-check", "--tol", "1e-8"], payload, capsys, monkeypatch)
+    cert, choi = cp_check_finite(Q, points, rel_tol=1e-8)
+    matrix = json.dumps(encode_matrix(choi.matrix), separators=(",", ":"))
+    assert code == 0
+    assert f'"choi":{{"block_dim":5,"matrix":{matrix},"n":5}}' in out
+    want = {"v": 1, "certificate": encode_certificate(cert), "choi": encode_choi(choi),
+            "params": {"samples": 100, "seed": 0, "tol": 1e-8, "truncation_L": 8}}
+    assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestOtherCommands:

@@ -239,6 +239,28 @@ class TestSolvePick:
         assert rep.feasible == feasible
         assert (len(builds), len(checks)) == (1, 1)
 
+    def test_synthesis_evaluates_the_node_once(self, monkeypatch, rng):
+        # the D family and the interpolation residual share one Q0(Z0); the
+        # only norms are the colligation's own contractivity checks
+        Q = NcMatrixPolynomial.row_pencil(2)
+        Z0 = sample_in_domain(Q, 2, rng, 0.5)
+        col = random_contractive_colligation(2, 1, 1, 2, seed=7)
+        p = PickProblem(Q, Z0, np.eye(2), 0.9 * transfer_eval(RealizedFunction(col, Q), Z0))
+        evals = count_calls(monkeypatch, core, "_eval_poly")
+        norms = count_calls(monkeypatch, core, "operator_norm")
+        synthesize, seen = interpolation._synthesize_from_choi, []
+
+        def counting(*args, **kwargs):
+            before = (len(evals), len(norms))
+            out = synthesize(*args, **kwargs)
+            seen.append((len(evals) - before[0], len(norms) - before[1]))
+            return out
+
+        monkeypatch.setattr(interpolation, "_synthesize_from_choi", counting)
+        rep = solve_pick(p)
+        assert rep.feasible and rep.interp_residual <= 1e-9
+        assert seen == [(1, 2)]
+
 
 def contractivity_q0(kind, d, rng):
     """A one-row Q0: the row pencil, or a random degree-2 polynomial without

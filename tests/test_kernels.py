@@ -249,6 +249,16 @@ def per_unit_cp_choi(Q, points):
     return choi4.reshape(N * N, N * N)
 
 
+def choi_support(levels) -> np.ndarray:
+    """Choi indices i * N + r with i and r in the same point's block."""
+    N, offs = sum(levels), np.concatenate(([0], np.cumsum(levels)))
+    return np.array([i * N + r for a, n in enumerate(levels)
+                     for i in range(offs[a], offs[a] + n) for r in range(offs[a], offs[a] + n)])
+
+
+SCALAR_NODES = (0.3, -0.5, 0.1j)
+
+
 class TestCpCheckFinite:
     def test_szego_kernel_cp_on_random_points(self, rng):
         Q = random_row_poly(rng, 2, r=2, degree=1)
@@ -271,7 +281,13 @@ class TestCpCheckFinite:
         assert (choi.n, choi.block_dim) == (N, N)
         assert np.abs(choi.matrix - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         assert cert.is_psd
-        assert cert.min_eig == pytest.approx(np.linalg.eigvalsh(want)[0], abs=1e-10)
+        # the full spectrum is the support spectrum plus N^2 - sum n_a^2 exact zeros
+        sup = choi_support(levels)
+        spec = np.linalg.eigvalsh(want[np.ix_(sup, sup)])
+        padded = np.sort(np.concatenate([spec, np.zeros(N * N - len(sup))]))
+        scale = max(1.0, np.abs(spec).max())
+        assert np.abs(np.linalg.eigvalsh(want) - padded).max() <= 1e-10 * scale
+        assert cert.min_eig == pytest.approx(spec[0], abs=1e-10 * scale)
 
     def test_point_outside_disk_raises(self):
         Q = NcMatrixPolynomial.scalar_univariate([0, 1])
@@ -285,6 +301,32 @@ class TestCpCheckFinite:
         solves = count_calls(monkeypatch, kernels, "szego_kernel_solve")
         cp_check_finite(Q, pts)
         assert (len(maps), len(solves)) == (len(pts) ** 2, 0)
+
+    def test_one_psd_check_on_the_support(self, rng, monkeypatch):
+        Q = random_row_poly(rng, 2, r=2, degree=1)
+        levels = (1, 2, 3)
+        pts = [sample_in_domain(Q, lev, rng, 0.6) for lev in levels]
+        checks = count_calls(monkeypatch, kernels, "psd_check")
+        _, choi = cp_check_finite(Q, pts)
+        assert [np.shape(c[0]) for c in checks] == [(14, 14)]  # 1 + 4 + 9
+        sup = choi_support(levels)
+        assert np.array_equal(checks[0][0], choi.matrix[np.ix_(sup, sup)])
+        off = np.ones(choi.matrix.shape[0], dtype=bool)
+        off[sup] = False
+        assert not choi.matrix[off].any() and not choi.matrix[:, off].any()
+
+    def test_scalar_points_give_the_classical_pick_matrix(self, monkeypatch):
+        Q = NcMatrixPolynomial.scalar_univariate([0, 1])
+        z = np.array(SCALAR_NODES)
+        checks = count_calls(monkeypatch, kernels, "psd_check")
+        cert, choi = cp_check_finite(Q, [scalar_point(v) for v in z])
+        gram = 1.0 / (1.0 - np.outer(z, z.conj()))
+        assert np.abs(checks[0][0] - gram).max() <= 1e-12
+        lo = np.linalg.eigvalsh(gram)[0]
+        assert lo > 0.016
+        assert cert.min_eig == pytest.approx(lo, rel=1e-12)
+        assert cert.is_psd and not cert.marginal
+        assert (choi.n, choi.block_dim) == (3, 3)
 
 
 class TestDbrKernel:

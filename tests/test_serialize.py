@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpick.core import NcMatrixPolynomial, Word
 from ncpick.envelopes import EnvelopeWitness
@@ -19,6 +21,7 @@ from ncpick.serialize import (
     encode_poly,
     encode_tuple,
     encode_witness,
+    matrix_json,
 )
 
 from conftest import mt
@@ -54,6 +57,51 @@ class TestMatrixCodec:
         A = np.atleast_2d(np.asarray(M, dtype=complex))
         want = [[[float(z.real), float(z.imag)] for z in row] for row in A]
         assert json.dumps(encode_matrix(M)) == json.dumps(want)
+
+
+# entries that must not be mistaken for exact zeros, next to the +0.0 rows
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 0.1, -3.5e17]
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True)
+    M = np.empty((rows, cols), dtype=complex)  # parts set apart: 1j * inf has a NaN real part
+    M.real = np.reshape(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), M.shape)
+    M.imag = np.reshape(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), M.shape)
+    # each row is drawn as is, all +0.0, all -0.0 or all NaN
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["drawn", "zero", "neg", "nan"]),
+                                           min_size=rows, max_size=rows))):
+        if kind != "drawn":
+            v = {"zero": 0.0, "neg": -0.0, "nan": np.nan}[kind]
+            M[i].real, M[i].imag = v, v
+    return M
+
+
+class TestMatrixJson:
+    @given(M=matrices_with_zero_rows())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bytes_match_json_of_encode_matrix(self, M):
+        assert matrix_json(M).text == json.dumps(encode_matrix(M), separators=(",", ":"))
+
+    @pytest.mark.parametrize("M", [
+        np.zeros((1, 1)),
+        np.array([[complex(-0.0, 0.0)]]),
+        np.array([[complex(0.0, -0.0)]]),
+        np.zeros((3, 5)),
+        np.zeros((2, 0)),
+        np.zeros((0, 0)),
+        np.array([0.5, -0.0, 2.0 + 3.0j]),
+        np.array(-0.0 + 2j),
+        np.vstack([np.zeros((2, 4)), np.full((1, 4), 5e-324), np.zeros((1, 4))]),
+    ])
+    def test_edge_shapes_and_signed_zeros(self, M):
+        assert matrix_json(M).text == json.dumps(encode_matrix(M), separators=(",", ":"))
+
+    def test_not_a_json_string(self):
+        with pytest.raises(TypeError):
+            json.dumps({"matrix": matrix_json(np.eye(2))})
 
 
 class TestTupleCodec:
