@@ -219,23 +219,30 @@ def _phi_matrix(QZ: np.ndarray, QW: np.ndarray, r: int) -> np.ndarray:
     return M
 
 
-def _stein_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple,
-                 rhs: np.ndarray) -> np.ndarray:
+def _stein_solve(QZ: np.ndarray, QW: np.ndarray, r: int, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - Phi) x = rhs for row-major vectorized n x m unknowns.
 
-    Evaluates Q0 once per point (once in total when ``W is Z``) and raises
-    ``DomainError`` unless both points lie in the disk.
+    Phi is built from the values Q0(Z) and Q0(W) of a one-row Q0 with r
+    columns per level; callers evaluate them through ``_eval_in_domain``.
+    """
+    nm = QZ.shape[0] * QW.shape[0]
+    return np.linalg.solve(np.eye(nm) - _phi_matrix(QZ, QW, r), rhs)
+
+
+def _pair_values(Q0: NcMatrixPolynomial, Z: MatrixTuple,
+                 W: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
+    """Q0(Z) and Q0(W), once per point (once in total when ``W is Z``).
+
+    Raises ``DomainError`` unless both points lie in the disk.
     """
     QZ = _eval_in_domain(Q0, Z)
-    QW = QZ if W is Z else _eval_in_domain(Q0, W)
-    nm = Z.n * W.n
-    return np.linalg.solve(np.eye(nm) - _phi_matrix(QZ, QW, Q0.r), rhs)
+    return QZ, QZ if W is Z else _eval_in_domain(Q0, W)
 
 
 def szego_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple) -> np.ndarray:
     """Matrix of P -> k_{Q0}(Z, W)(P) on row-major vectorized inputs."""
     _check_row_poly(Q0)
-    return _stein_solve(Q0, Z, W, np.eye(Z.n * W.n))
+    return _stein_solve(*_pair_values(Q0, Z, W), Q0.r, np.eye(Z.n * W.n))
 
 
 def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P) -> np.ndarray:
@@ -244,7 +251,7 @@ def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P
     P = np.asarray(P, dtype=complex)
     if P.shape != (Z.n, W.n):
         raise DimensionMismatchError("P must be level(Z) x level(W)")
-    return _stein_solve(Q0, Z, W, P.reshape(-1)).reshape(Z.n, W.n)
+    return _stein_solve(*_pair_values(Q0, Z, W), Q0.r, P.reshape(-1)).reshape(Z.n, W.n)
 
 
 def szego_kernel_series(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
@@ -297,29 +304,34 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
     The kernel respects direct sums, so on the set generated by ``Omega_F``
     it is the map P -> k_{Q0}(Z, Z)(P) at the direct-sum point Z of level
     N.  For points a, b the map sends the (a, b) input block into the
-    (a, b) output block by ``szego_map_matrix(Q0, Za, Zb)`` and is zero
-    elsewhere, so every Choi row (i, r) with r outside the block of i is
-    exactly zero.  The PSD test runs on the Choi matrix restricted to its
-    support, of side sum_a n_a^2 and built one pair block at a time: its
-    spectrum is the full spectrum less the structural zeros, so
-    ``min_eig`` is the margin of the data, not of the padding.  The
-    returned Choi matrix (n = N, block_dim = N) is the full one, with the
-    support block scattered into zeros.
+    (a, b) output block by the Stein solve from Q0(Za) and Q0(Zb) (each
+    evaluated once) and is zero elsewhere, so every Choi row (i, r) with r
+    outside the block of i is exactly zero.  The PSD test runs on the Choi
+    matrix restricted to its support, of side sum_a n_a^2 and built one
+    pair block at a time: its spectrum is the full spectrum less the
+    structural zeros, so ``min_eig`` is the margin of the data, not of the
+    padding.  The (b, a) blocks are solved, not copied, so the Hermiticity
+    test compares independent solves; the tested matrix is their Hermitian
+    part, which is exactly Hermitian.  The returned Choi matrix (n = N,
+    block_dim = N) is the full one, that same matrix scattered into zeros.
     """
     if not Omega_F:
         raise ValueError("need at least one point")
     d0 = Omega_F[0].d
     if any(Z.d != d0 for Z in Omega_F):
         raise DimensionMismatchError("points have different variable counts")
+    _check_row_poly(Q0)
+    values = [_eval_in_domain(Q0, Z) for Z in Omega_F]
     levels = [Z.n for Z in Omega_F]
     N = sum(levels)
     sq = np.concatenate(([0], np.cumsum([n * n for n in levels]))).astype(int)
     support_choi = np.empty((sq[-1], sq[-1]), dtype=complex)
-    for ai, Za in enumerate(Omega_F):
-        for bi, Zb in enumerate(Omega_F):
-            K = szego_map_matrix(Q0, Za, Zb)
-            support_choi[sq[ai] : sq[ai + 1], sq[bi] : sq[bi + 1]] = _choi_reshuffle(
-                K, (Za.n, Zb.n), (Za.n, Zb.n))
+    for a, (QZa, na) in enumerate(zip(values, levels)):
+        for b, (QZb, nb) in enumerate(zip(values, levels)):
+            K = _stein_solve(QZa, QZb, Q0.r, np.eye(na * nb))
+            support_choi[sq[a] : sq[a + 1], sq[b] : sq[b + 1]] = _choi_reshuffle(
+                K, (na, nb), (na, nb))
+    support_choi = _hermitian_part(support_choi)
     cert = psd_check(support_choi, rel_tol=rel_tol)
     # support: Choi indices i * N + r with i and r in the same point's block,
     # in Choi order, which is also the pair-block order above

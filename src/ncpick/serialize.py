@@ -7,13 +7,16 @@ exit code.
 
 ``matrix_json`` writes a matrix straight to its compact JSON text, the
 bytes ``json`` gives for ``encode_matrix``; exact +0.0 entries and rows
-share one encoded copy, so a mostly-zero Choi matrix costs its nonzeros.
+share one encoded copy, and the lower entry of a bitwise conjugate pair
+reuses the upper one's text, so a mostly-zero Hermitian Choi matrix
+formats each nonzero conjugate pair once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Mapping
 
 import numpy as np
@@ -59,31 +62,56 @@ class JsonText:
 
 # json.dumps(..., separators=(",", ":")) as one reusable encoder
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def matrix_json(M) -> JsonText:
-    """``json.dumps(encode_matrix(M), separators=(",", ":"))``, paying only for nonzeros.
+    """``json.dumps(encode_matrix(M), separators=(",", ":"))``, paying only for distinct entries.
 
     An entry whose float64 bits are all zero (+0.0 in both parts; -0.0 and
     NaN have nonzero bits) is written as one shared encoded pair, and a row
-    of them as one shared encoded row.  The other entries' floats go
-    through the ``json`` encoder in one flat list, so every float has the
-    formatting it has in any other ncpick document.
+    of them as one shared encoded row.  A strictly-lower entry that is the
+    bitwise conjugate of its nonzero mirror (same real bits, imaginary bits
+    with the sign bit flipped) reuses the mirror's text with the sign of
+    the imaginary part toggled, so an exactly Hermitian matrix formats each
+    conjugate pair once.  The other entries' floats go through the ``json``
+    encoder in one flat list, so every float has the formatting it has in
+    any other ncpick document.
     """
     A = np.ascontiguousarray(np.atleast_2d(np.asarray(M, dtype=complex)))
     if A.ndim != 2:
         raise ValueError("matrix_json encodes two-dimensional arrays")
-    nonzero = A.view(np.uint64).reshape(*A.shape, 2).any(axis=2)
-    live = nonzero.any(axis=1)
+    bits = A.view(np.uint64).reshape(*A.shape, 2)
+    own = (bits[..., 0] | bits[..., 1]) != 0  # the entries formatted here
+    live = own.any(axis=1)
+    rows = np.flatnonzero(live)
+    # strictly-lower entries that reuse their mirror's text: the mirror is
+    # nonzero, so both lie in live rows and in the columns ``rows``
+    mirrored = np.zeros((rows.size, rows.size), dtype=bool)
+    is_mirror = np.zeros_like(own)
+    if A.shape[0] == A.shape[1]:
+        block = np.ix_(rows, rows)
+        nz, re_bits, im_bits = own[block], bits[..., 0][block], bits[..., 1][block]
+        mirrored = np.tril(nz & nz.T & (re_bits == re_bits.T)
+                           & ((im_bits ^ im_bits.T) == _SIGN_BIT), -1)
+        own[block] = nz & ~mirrored
+        is_mirror[block] = mirrored.T
     zero = _COMPACT.encode([0.0, 0.0])
     zero_row = "[" + ",".join([zero] * A.shape[1]) + "]"
-    cells = np.full((int(live.sum()), A.shape[1]), zero, dtype=object)
-    # float reprs hold no commas; with no nonzero entry the split leaves one
-    # empty string and zip makes no pair
-    floats = iter(_COMPACT.encode(A[nonzero].view(np.float64).tolist())[1:-1].split(","))
-    cells[nonzero[live]] = [f"[{re},{im}]" for re, im in zip(floats, floats)]
-    rows = iter(cells.tolist())
-    return JsonText("[" + ",".join("[" + ",".join(next(rows)) + "]" if row_live else zero_row
+    cells = np.empty((rows.size, A.shape[1]), dtype=object)
+    cells.fill(zero)  # np.full converts through a str array: one new string per cell
+    # float reprs hold no commas; with no entry to format the split leaves
+    # one empty string and the slices make no pair
+    floats = _COMPACT.encode(A[own].view(np.float64).tolist())[1:-1].split(",")
+    re_text, im_text = floats[0::2], floats[1::2]
+    cells[own[live]] = [f"[{re},{im}]" for re, im in zip(re_text, im_text)]
+    # in the row-major order of their mirrors, mirrored entries run down the
+    # columns; a conjugate toggles the imaginary sign, and NaN has no sign in JSON
+    col, k = np.nonzero(mirrored.T)
+    cells[k, rows[col]] = [f"[{re},{im if im == 'NaN' else im[1:] if im[0] == '-' else '-' + im}]"
+                           for re, im in compress(zip(re_text, im_text), is_mirror[own].tolist())]
+    rows_text = iter(cells.tolist())
+    return JsonText("[" + ",".join("[" + ",".join(next(rows_text)) + "]" if row_live else zero_row
                                    for row_live in live) + "]")
 
 

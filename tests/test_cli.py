@@ -205,6 +205,19 @@ def test_cp_check_stdout_matches_json_encoder(capsys, monkeypatch, rng):
     assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def test_cp_check_prints_a_bitwise_hermitian_matrix(capsys, monkeypatch, rng):
+    Q = NcMatrixPolynomial.row_pencil(2)
+    points = [sample_in_domain(Q, lev, rng, 0.6) for lev in (2, 3)]
+    payload = {"Q0": encode_poly(Q), "points": [encode_tuple(Z) for Z in points]}
+    code, doc, _ = run_cli(["cp-check"], payload, capsys, monkeypatch)
+    assert code == 0
+    parts = np.array(doc["choi"]["matrix"])
+    re, im = parts[..., 0], parts[..., 1]
+    assert np.array_equal(re.view(np.uint64), re.T.view(np.uint64))
+    assert np.array_equal(im, -im.T)
+    assert np.count_nonzero(im) > 0
+
+
 class TestOtherCommands:
     def test_ltoa_check(self, capsys, monkeypatch):
         payload = {

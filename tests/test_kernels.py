@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncpick import kernels
+from ncpick import core, kernels
 from ncpick.core import DomainError, MatrixTuple, NcMatrixPolynomial, amp
 from ncpick.kernels import (
     ChoiMatrix,
@@ -295,12 +295,49 @@ class TestCpCheckFinite:
             cp_check_finite(Q, [scalar_point(0.5), scalar_point(1.5)])
 
     def test_one_map_matrix_per_pair(self, rng, monkeypatch):
+        # Q0 is evaluated and norm-checked once per point; every pair, (b, a)
+        # as well as (a, b), gets its own solve from those values
         Q = random_row_poly(rng, 2, r=2, degree=1)
         pts = [sample_in_domain(Q, lev, rng, 0.6) for lev in (1, 2, 2)]
-        maps = count_calls(monkeypatch, kernels, "szego_map_matrix")
-        solves = count_calls(monkeypatch, kernels, "szego_kernel_solve")
+        evals = count_calls(monkeypatch, core, "_eval_poly")
+        norms = count_calls(monkeypatch, core, "operator_norm")
+        solves = count_calls(monkeypatch, kernels, "_stein_solve")
         cp_check_finite(Q, pts)
-        assert (len(maps), len(solves)) == (len(pts) ** 2, 0)
+        p = len(pts)
+        assert (len(evals), len(norms), len(solves)) == (p, p, p * p)
+        assert [(s[0].shape[0], s[1].shape[0]) for s in solves] == [
+            (Za.n, Zb.n) for Za in pts for Zb in pts]
+
+    @given(d=st.integers(1, 2), r=st.integers(1, 2),
+           levels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_certifies_the_hermitian_part_of_independent_solves(self, d, r, levels, seed):
+        rng = np.random.default_rng(seed)
+        Q = random_row_poly(rng, d, r=r, degree=2, terms=3)
+        pts = [sample_in_domain(Q, lev, rng, 0.7) for lev in levels]
+        sq = np.concatenate(([0], np.cumsum([n * n for n in levels])))
+        raw = np.empty((sq[-1], sq[-1]), dtype=complex)
+        for a, Za in enumerate(pts):
+            for b, Zb in enumerate(pts):
+                raw[sq[a] : sq[a + 1], sq[b] : sq[b + 1]] = kernels._choi_reshuffle(
+                    szego_map_matrix(Q, Za, Zb), (Za.n, Zb.n), (Za.n, Zb.n))
+        # the kernel is Hermitian: the (b, a) block solved on its own is the
+        # conjugate transpose of the (a, b) block
+        scale = np.abs(raw).max()
+        for a in range(len(pts)):
+            for b in range(len(pts)):
+                ab = raw[sq[a] : sq[a + 1], sq[b] : sq[b + 1]]
+                ba = raw[sq[b] : sq[b + 1], sq[a] : sq[a + 1]]
+                assert np.abs(ba - ab.conj().T).max() <= 1e-12 * scale
+        cert, choi = cp_check_finite(Q, pts)
+        assert cert.min_eig == psd_check(raw).min_eig
+        # the returned matrix is the certified one, exactly Hermitian
+        sup = choi_support(levels)
+        assert np.array_equal(choi.matrix[np.ix_(sup, sup)], 0.5 * (raw + raw.conj().T))
+        C = choi.matrix
+        assert np.array_equal(C.real.view(np.uint64), C.real.T.view(np.uint64))
+        assert np.array_equal(C.imag, -C.imag.T)
 
     def test_one_psd_check_on_the_support(self, rng, monkeypatch):
         Q = random_row_poly(rng, 2, r=2, degree=1)

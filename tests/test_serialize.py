@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpick import serialize
 from ncpick.core import NcMatrixPolynomial, Word
 from ncpick.envelopes import EnvelopeWitness
 from ncpick.kernels import ChoiMatrix, PsdCertificate
@@ -79,6 +80,30 @@ def matrices_with_zero_rows(draw):
     return M
 
 
+# values placed as conjugate mirror pairs: signed zeros, NaN, infinities, subnormals
+MIRRORED = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308, 0.1]
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Exactly Hermitian 0.5 (A + A^H), with zero rows and columns and special mirrored pairs."""
+    n = draw(st.integers(1, 8))
+    part = st.floats(-1e6, 1e6, allow_subnormal=True)
+    A = np.empty((n, n), dtype=complex)
+    A.real = np.reshape(draw(st.lists(part, min_size=n * n, max_size=n * n)), (n, n))
+    A.imag = np.reshape(draw(st.lists(part, min_size=n * n, max_size=n * n)), (n, n))
+    H = 0.5 * (A + A.conj().T)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        H[i, :] = 0.0
+        H[:, i] = 0.0
+    special = st.sampled_from(MIRRORED)
+    for i, j, x, y in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              special, special), max_size=6)):
+        H.real[i, j], H.imag[i, j] = x, y
+        H.real[j, i], H.imag[j, i] = x, -y  # the diagonal keeps the second write
+    return H
+
+
 class TestMatrixJson:
     @given(M=matrices_with_zero_rows())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -98,6 +123,39 @@ class TestMatrixJson:
     ])
     def test_edge_shapes_and_signed_zeros(self, M):
         assert matrix_json(M).text == json.dumps(encode_matrix(M), separators=(",", ":"))
+
+    @given(M=hermitian_matrices())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_hermitian_bytes_match_json_of_encode_matrix(self, M):
+        assert matrix_json(M).text == json.dumps(encode_matrix(M), separators=(",", ":"))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_conjugate_pairs_are_formatted_once(self, n, rng, monkeypatch):
+        calls = []
+
+        class Recording(json.JSONEncoder):
+            def encode(self, o):
+                calls.append(len(o))
+                return super().encode(o)
+
+        monkeypatch.setattr(serialize, "_COMPACT", Recording(separators=(",", ":")))
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = 0.5 * (A + A.conj().T)
+        # one shared zero pair, then two floats per entry on and above the diagonal
+        assert matrix_json(H).text == json.dumps(encode_matrix(H), separators=(",", ":"))
+        assert calls == [2, n * (n + 1)]
+        # a lower entry one bit off its mirror's conjugate is formatted itself
+        for flip in (1, 1 << 63):
+            calls.clear()
+            G = H.copy()
+            G.view(np.uint64)[np.tril_indices(n, -1)[0], 2 * np.tril_indices(n, -1)[1] + 1] ^= flip
+            assert matrix_json(G).text == json.dumps(encode_matrix(G), separators=(",", ":"))
+            assert calls == [2, 2 * n * n]
+        if n > 1:
+            calls.clear()
+            H[1, 0] = np.nextafter(H[1, 0].real, np.inf) + 1j * H[1, 0].imag
+            matrix_json(H)
+            assert calls == [2, n * (n + 1) + 2]
 
     def test_not_a_json_string(self):
         with pytest.raises(TypeError):
