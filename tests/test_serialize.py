@@ -145,10 +145,11 @@ class TestMatrixJson:
         assert matrix_json(H).text == json.dumps(encode_matrix(H), separators=(",", ":"))
         assert calls == [2, n * (n + 1)]
         # a lower entry one bit off its mirror's conjugate is formatted itself
-        for flip in (1, 1 << 63):
+        rows, cols = np.tril_indices(n, -1)
+        for flip in (1, 1 << 63):  # lowest mantissa bit, sign bit of the imaginary part
             calls.clear()
             G = H.copy()
-            G.view(np.uint64)[np.tril_indices(n, -1)[0], 2 * np.tril_indices(n, -1)[1] + 1] ^= flip
+            G.view(np.uint64)[rows, 2 * cols + 1] ^= flip
             assert matrix_json(G).text == json.dumps(encode_matrix(G), separators=(",", ":"))
             assert calls == [2, 2 * n * n]
         if n > 1:
