@@ -167,20 +167,11 @@ def multi_point_to_single(problems: Sequence[PickProblem]) -> PickProblem:
     B0 = np.zeros((e_tot * N, u * N), dtype=complex)
     e_off = 0
     n_off = 0
+    # on the views (e, N, y, N) and (e, N, u, N) each summand is one block
     for p, e_i, n_i in zip(problems, es, levels):
-        Ai = p.A0.reshape(e_i, n_i, y, n_i)
-        Bi = p.B0.reshape(e_i, n_i, u, n_i)
-        for pp in range(e_i):
-            for q in range(y):
-                A0[
-                    (e_off + pp) * N + n_off : (e_off + pp) * N + n_off + n_i,
-                    q * N + n_off : q * N + n_off + n_i,
-                ] = Ai[pp, :, q, :]
-            for q in range(u):
-                B0[
-                    (e_off + pp) * N + n_off : (e_off + pp) * N + n_off + n_i,
-                    q * N + n_off : q * N + n_off + n_i,
-                ] = Bi[pp, :, q, :]
+        rows, pts = slice(e_off, e_off + e_i), slice(n_off, n_off + n_i)
+        A0.reshape(e_tot, N, y, N)[rows, pts, :, pts] = p.A0.reshape(e_i, n_i, y, n_i)
+        B0.reshape(e_tot, N, u, N)[rows, pts, :, pts] = p.B0.reshape(e_i, n_i, u, n_i)
         e_off += e_i
         n_off += n_i
     return PickProblem(first.Q0, Z0, A0, B0)

@@ -116,7 +116,11 @@ def psd_check(M, rel_tol: float = PSD_REL_TOL) -> PsdCertificate:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError("psd_check needs a square matrix")
     eigs = np.linalg.eigvalsh(_hermitian_part(A))
-    lo, hi = float(eigs[0]), float(eigs[-1])
+    return _certificate(float(eigs[0]), float(eigs[-1]), rel_tol)
+
+
+def _certificate(lo: float, hi: float, rel_tol: float) -> PsdCertificate:
+    """The dead-band rule: verdict from the extreme eigenvalues ``lo <= hi``."""
     band = rel_tol * max(1.0, hi)
     verdict = "psd" if lo >= -band else "not_psd"
     marginal = verdict == "psd" and lo < band
@@ -170,7 +174,7 @@ def kolmogorov_factor(C: ChoiMatrix, rank_tol: float = KOLMOGOROV_RANK_TOL,
                                          for _ in range(C.n)))
     vals, vecs = np.linalg.eigh(_hermitian_part(C.matrix))
     lo, top = float(vals[0]), float(vals[-1])
-    if lo < -psd_tol * max(1.0, top):
+    if not _certificate(lo, top, psd_tol).is_psd:
         raise NotPsdError(f"Choi matrix is not PSD (min eig {lo:.3g})")
     if top <= 0.0:
         keep = np.zeros(vals.shape, dtype=bool)

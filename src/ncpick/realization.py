@@ -64,8 +64,8 @@ __all__ = [
     "lurking_isometry_synthesize",
 ]
 
-#: Pivot threshold for the rank-revealing QR inside the synthesis.
-QR_RANK_TOL = 1e-10
+#: Relative singular-value threshold for the rank of the D family.
+SVD_RANK_TOL = 1e-10
 
 
 class SynthesisConsistencyError(RuntimeError):
@@ -254,16 +254,24 @@ class SynthesisDiagnostics:
     interp_residual: float = field(default=float("nan"))
 
 
+def _null_space(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker M from a full SVD.
+
+    Singular values at most ``max(M.shape) * eps * sigma_max`` count as zero.
+    """
+    _, sv, Vh = np.linalg.svd(M)
+    cut = max(M.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)
+    return Vh[int(np.sum(sv > cut)):].conj().T
+
+
 def _unitary_completion(Q1: np.ndarray, images: np.ndarray, X: int, u: int, y: int,
-                        r: int, rank: int) -> tuple[int, np.ndarray]:
+                        r: int) -> tuple[int, np.ndarray]:
     """Extend the partial isometry to a unitary, padding the state space.
 
     Solves r X' + y = X' + u for the padded state dimension X' and pairs
     orthonormal bases of the two defect spaces.  Raises ``ValueError``
     when no nonnegative pad exists for the block shapes.
     """
-    import scipy.linalg  # local for the reason given in _synthesize_from_choi
-
     if r == 1:
         if u != y:
             raise ValueError("unitary completion with r = 1 needs dimU = dimY")
@@ -287,13 +295,10 @@ def _unitary_completion(Q1: np.ndarray, images: np.ndarray, X: int, u: int, y: i
 
     Q1e = E_dom @ Q1
     # polish the images to exact orthonormality before pairing defects
-    if rank > 0:
-        Qi, Ri = np.linalg.qr(E_cod @ images)
-        Qi = Qi * np.sign(np.real(np.diag(Ri)) + (np.real(np.diag(Ri)) == 0))
-    else:
-        Qi = np.zeros((cod, 0), dtype=complex)
-    dom_perp = scipy.linalg.null_space(Q1e.conj().T)
-    cod_perp = scipy.linalg.null_space(Qi.conj().T)
+    Qi, Ri = np.linalg.qr(E_cod @ images)
+    Qi = Qi * np.sign(np.real(np.diag(Ri)) + (np.real(np.diag(Ri)) == 0))
+    dom_perp = _null_space(Q1e.conj().T)
+    cod_perp = _null_space(Qi.conj().T)
     if dom_perp.shape[1] != cod_perp.shape[1]:
         raise ValueError("defect dimensions failed to match after padding")
     Ustar = Qi @ Q1e.conj().T + cod_perp @ dom_perp.conj().T
@@ -356,13 +361,10 @@ def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarra
     ``choi`` is the de Branges-Rovnyak Choi matrix of (Q0, Z0, a0, b0) and
     ``cert`` its PSD certificate; the Kolmogorov factor applies the
     certificate's dead band to its own eigendecomposition, so no second
-    ``psd_check`` runs on the matrix.
+    ``psd_check`` runs on the matrix.  One thin SVD of the D family is the
+    rank-revealing step: it gives the orthonormal basis of span D and, with
+    the R family, the lurking isometry on it.
     """
-    # scipy.linalg is imported here, not at module level: only synthesis
-    # needs it, and it adds about 0.25 s and 28 MB to every process that
-    # imports ncpick (evaluation and certificate commands included)
-    import scipy.linalg
-
     n = Z0.n
     e_dim = a0.shape[0] // n
     y = a0.shape[1] // n
@@ -402,23 +404,16 @@ def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarra
             "the Agler identity failed on the factored kernel"
         )
 
-    # rank-revealing pivoted QR on the D family; the same pivot order is
-    # applied to the R family to define the isometry column by column
-    Q, Rqr, piv = scipy.linalg.qr(Dmat, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(Rqr))
-    col_scale = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > QR_RANK_TOL * col_scale)) if col_scale > 0 else 0
-    if rank > 0:
-        R11 = Rqr[:rank, :rank]
-        coeff = scipy.linalg.solve_triangular(R11, np.eye(rank))
-        Q1 = Q[:, :rank]
-        images = Rmat[:, piv[:rank]] @ coeff
-    else:
-        Q1 = np.zeros((r * X + y, 0), dtype=complex)
-        images = np.zeros((X + u, 0), dtype=complex)
+    # D = W S V^*: Q1 = W_r is an orthonormal basis of span D and ``images``
+    # = R V_r S_r^{-1} its R-family images, so images Q1^* is the map with
+    # U^* D = R that vanishes on the orthogonal complement of span D
+    Wd, sd, Vdh = np.linalg.svd(Dmat, full_matrices=False)
+    rank = int(np.sum(sd > SVD_RANK_TOL * sd[0]))
+    Q1 = Wd[:, :rank]
+    images = (Rmat @ Vdh[:rank].conj().T) / sd[:rank]
 
     if completion == "unitary":
-        X, Ustar = _unitary_completion(Q1, images, X, u, y, r, rank)
+        X, Ustar = _unitary_completion(Q1, images, X, u, y, r)
         flags = ("unitary", "contractive")
         norm_U = 1.0
     else:

@@ -28,6 +28,18 @@ def jordan_cell(lam: complex, n: int) -> np.ndarray:
     return J
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """Block-diagonal matrix with the given 2-d blocks in order."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
+
+
 def count_calls(monkeypatch, module, name):
     """Record calls to module.name from every ncpick module that bound it."""
     original = getattr(module, name)

@@ -8,7 +8,6 @@ are asserted alongside the numerical checks.
 import time
 
 import numpy as np
-import scipy.linalg
 
 from ncpick.core import (
     MatrixTuple,
@@ -43,7 +42,7 @@ from ncpick.realization import (
 )
 from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
-from conftest import jordan_cell, mt, scalar_point
+from conftest import block_diag, jordan_cell, mt, scalar_point
 
 
 class Budget:
@@ -238,7 +237,7 @@ def _random_jordan_matrix(rng, pool, max_dim=4):
         size = int(rng.integers(1, left + 1))
         blocks.append(jordan_cell(complex(rng.choice(pool)), size))
         left -= size
-    M = scipy.linalg.block_diag(*blocks)
+    M = block_diag(*blocks)
     U, _ = np.linalg.qr(complex_gaussian(rng, (dim, dim)))
     return U @ M @ U.conj().T
 
@@ -252,7 +251,7 @@ def _member_of_closure(rng, pool_pairs, max_dim=4):
         size = int(rng.integers(1, min(chain, left) + 1))
         blocks.append(jordan_cell(lam, size))
         left -= size
-    M = scipy.linalg.block_diag(*blocks)
+    M = block_diag(*blocks)
     U, _ = np.linalg.qr(complex_gaussian(rng, (M.shape[0], M.shape[0])))
     return U @ M @ U.conj().T
 

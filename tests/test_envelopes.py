@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from ncpick.core import _eval_poly, similarity
 from ncpick.envelopes import (
@@ -13,7 +12,7 @@ from ncpick.envelopes import (
     zariski_membership_d1,
 )
 
-from conftest import jordan_cell, mt
+from conftest import block_diag, jordan_cell, mt
 
 
 def eval_d1(poly, M):
@@ -143,7 +142,7 @@ class TestJordanData:
         assert data.chain_lengths == (1, 1)
 
     def test_block_max(self):
-        M = scipy.linalg.block_diag(jordan_cell(0, 2), np.zeros((1, 1)))
+        M = block_diag(jordan_cell(0, 2), np.zeros((1, 1)))
         data = jordan_spectral_data(M)
         assert data.chain_lengths == (2,)
         assert data.multiplicities == (3,)
@@ -250,7 +249,7 @@ def _random_jordan(rng, pool, max_dim):
         lam = float(rng.choice(pool))
         blocks.append(jordan_cell(lam, size))
         left -= size
-    M = scipy.linalg.block_diag(*blocks)
+    M = block_diag(*blocks)
     U, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return U @ M @ U.conj().T
 

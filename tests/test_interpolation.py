@@ -33,7 +33,7 @@ from ncpick.realization import (
     random_contractive_colligation,
     transfer_eval,
 )
-from ncpick.sampling import random_row_poly, sample_in_domain
+from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
 from conftest import amplified_transfer, count_calls, kron_eval_poly, mt, scalar_point
 
@@ -163,7 +163,46 @@ class TestPickCertificate:
                 assert cert.is_psd
 
 
+def looped_fusion(problems):
+    """Fused A0 and B0 placed one (row, column) block at a time (oracle)."""
+    y, u = problems[0].dimY, problems[0].dimU
+    e_tot = sum(p.dimE for p in problems)
+    N = sum(p.n for p in problems)
+    A0 = np.zeros((e_tot * N, y * N), dtype=complex)
+    B0 = np.zeros((e_tot * N, u * N), dtype=complex)
+    e_off = n_off = 0
+    for p in problems:
+        e_i, n_i = p.dimE, p.n
+        Ai = p.A0.reshape(e_i, n_i, y, n_i)
+        Bi = p.B0.reshape(e_i, n_i, u, n_i)
+        for pp in range(e_i):
+            row = (e_off + pp) * N + n_off
+            for q in range(y):
+                A0[row : row + n_i, q * N + n_off : q * N + n_off + n_i] = Ai[pp, :, q, :]
+            for q in range(u):
+                B0[row : row + n_i, q * N + n_off : q * N + n_off + n_i] = Bi[pp, :, q, :]
+        e_off += e_i
+        n_off += n_i
+    return A0, B0
+
+
 class TestMultiPoint:
+    @given(parts=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                          min_size=1, max_size=3),
+           y=st.integers(1, 2), u=st.integers(1, 2), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_block_placement_matches_loop(self, parts, y, u, seed):
+        # parts holds (level, dim E) per problem
+        rng = np.random.default_rng(seed)
+        Q = NcMatrixPolynomial.row_pencil(2)
+        problems = [PickProblem(Q, sample_in_domain(Q, n, rng, 0.5),
+                                complex_gaussian(rng, (e * n, y * n)),
+                                complex_gaussian(rng, (e * n, u * n)))
+                    for n, e in parts]
+        fused = multi_point_to_single(problems)
+        A0, B0 = looped_fusion(problems)
+        assert np.array_equal(fused.A0, A0) and np.array_equal(fused.B0, B0)
+
     def test_single_problem_identity(self):
         p = scalar_problem(0.3, 0.5)
         assert multi_point_to_single([p]) is p

@@ -58,6 +58,24 @@ class TestPsdCheck:
         S = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         check(G @ G.conj().T + 1e-12 * (S - S.conj().T))
 
+    # psd_check and kolmogorov_factor share one dead-band rule
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-3])
+    @pytest.mark.parametrize("top", [0.5, 4.0])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_shared_dead_band(self, rel_tol, top, inside):
+        band = rel_tol * max(1.0, top)
+        lo = -band * (1 - 1e-6 if inside else 1 + 1e-6)
+        M = np.diag([lo, 0.25 * top, top])
+        cert = psd_check(M, rel_tol=rel_tol)
+        assert cert.is_psd == inside
+        try:
+            kolmogorov_factor(ChoiMatrix(1, 3, M), psd_tol=rel_tol)
+        except NotPsdError:
+            raised = True
+        else:
+            raised = False
+        assert raised == (not cert.is_psd)
+
 
 def transpose_vec_matrix(n):
     """Vec-matrix of P -> P^T on row-major vectorized n x n inputs."""

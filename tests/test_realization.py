@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpick.core import (
     DomainError,
     NcMatrixPolynomial,
+    _eval_poly,
     direct_sum,
     in_domain,
     operator_norm,
     similarity,
 )
-from ncpick.kernels import NotPsdError
+from ncpick.kernels import NotPsdError, dbr_choi, kolmogorov_factor
 from ncpick.realization import (
+    SVD_RANK_TOL,
     Colligation,
     RealizedFunction,
     amplify,
@@ -19,7 +23,7 @@ from ncpick.realization import (
     random_contractive_colligation,
     transfer_eval,
 )
-from ncpick.sampling import sample_in_domain
+from ncpick.sampling import complex_gaussian, sample_in_domain
 
 from conftest import mt, scalar_point
 
@@ -162,7 +166,74 @@ class TestRandomColligation:
             random_contractive_colligation(2, 1, 1, 2, seed=0, unitary=True)
 
 
+def lurking_families(Q, Z0, a0, b0, dimX):
+    """The D and R families of synthesis, one column (i, k) at a time (oracle).
+
+    Column (i, k) of D is [(Q0(Z0)^* (x) I_X) H^* e_k at row i ; row i of
+    a0^* e_k], and of R [H^* e_k at row i ; row i of b0^* e_k], with H the
+    Kolmogorov factor of the Choi matrix.  State coordinates beyond the
+    factor's rank (a padded state space of dimension ``dimX``) stay zero.
+    """
+    H = kolmogorov_factor(dbr_choi(Q, Z0, a0, b0)).stacked
+    n, r = Z0.n, Q.r
+    X = H.shape[1] // n
+    QZ = _eval_poly(Q, Z0)  # n x (r n), columns (rho, j)
+    y, u = a0.shape[1] // n, b0.shape[1] // n
+    D, R = [], []
+    for i in range(n):
+        for k in range(a0.shape[0]):
+            h = H[k].conj().reshape(n, X)  # H^* e_k, rows (point j, state x)
+            top = np.zeros((r, dimX), dtype=complex)
+            for rho in range(r):
+                for j in range(n):
+                    top[rho, :X] += np.conj(QZ[j, rho * n + i]) * h[j]
+            state = np.zeros(dimX, dtype=complex)
+            state[:X] = h[i]
+            D.append(np.concatenate([top.ravel(), a0[k, np.arange(y) * n + i].conj()]))
+            R.append(np.concatenate([state, b0[k, np.arange(u) * n + i].conj()]))
+    return np.array(D).T, np.array(R).T
+
+
 class TestSynthesis:
+    @given(d=st.integers(1, 2), n=st.integers(1, 3), e=st.integers(1, 2),
+           y=st.integers(1, 2), u=st.integers(1, 2), source_X=st.integers(1, 2),
+           kind=st.sampled_from(["generic", "repeated_rows", "zero_b"]),
+           unitary=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_lurking_isometry_oracle(self, d, n, e, y, u, source_X, kind, unitary, seed):
+        # feasible data a0 S(Z0) = b0; repeated rows of a0 and b0 = 0 make
+        # the D family rank-deficient
+        rng = np.random.default_rng(seed)
+        Q = NcMatrixPolynomial.row_pencil(d)
+        Z0 = sample_in_domain(Q, n, rng, 0.6)
+        col = random_contractive_colligation(source_X, u, y, d, seed=seed)
+        a0 = complex_gaussian(rng, (e * n, y * n))
+        if kind == "repeated_rows":
+            a0 = a0[np.arange(e * n) // 2]
+        b0 = np.zeros((e * n, u * n)) if kind == "zero_b" else \
+            a0 @ transfer_eval(RealizedFunction(col, Q), Z0)
+        # a unitary completion exists for r = 1 and dimU = dimY
+        completion = "unitary" if unitary and d == 1 and u == y else "zero"
+        syn, _ = lurking_isometry_synthesize(Q, Z0, a0, b0, completion=completion)
+        U = syn.as_matrix()
+        Dfam, Rfam = lurking_families(Q, Z0, a0, b0, syn.dimX)
+        assert np.linalg.norm(U.conj().T @ Dfam - Rfam) <= \
+            1e-10 * max(1.0, np.linalg.norm(Rfam))
+        gram = U.conj().T @ U
+        assert np.linalg.eigvalsh(gram)[-1] <= (1 + 1e-12) ** 2
+        if completion == "unitary":
+            assert np.linalg.norm(gram - np.eye(U.shape[1])) <= 1e-10
+            assert np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0])) <= 1e-10
+            return
+        # range(D)^perp from the eigenvectors of D D^* below the rank cut.  D D^*
+        # resolves its eigenvalues (squared singular values) only to about
+        # eps lam_max, so the cut is taken on them unsquared, and its
+        # eigenvectors are accurate to about eps lam_max / gap (Davis-Kahan)
+        lam, V = np.linalg.eigh(Dfam @ Dfam.conj().T)
+        null = lam <= SVD_RANK_TOL * lam[-1]
+        gap = lam[~null].min()
+        assert np.linalg.norm(U.conj().T @ V[:, null]) <= 1e-12 * lam[-1] / gap
+
     def test_zero_value(self, rng):
         Q = NcMatrixPolynomial.row_pencil(2)
         Z0 = sample_in_domain(Q, 2, rng, 0.5)
