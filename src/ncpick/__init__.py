@@ -55,9 +55,7 @@ from .kernels import (
     cp_check_finite,
     dbr_kernel,
     kolmogorov_factor,
-    phi_map,
     psd_check,
-    szego_kernel_series,
     szego_kernel_solve,
 )
 from .okaweil import (

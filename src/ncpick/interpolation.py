@@ -38,8 +38,10 @@ from .core import (
     word_transpose,
 )
 from .kernels import (
+    PSD_REL_TOL,
     ChoiMatrix,
     PsdCertificate,
+    _certified_factor,
     dbr_choi,
     psd_check,
     szego_kernel_solve,
@@ -49,7 +51,7 @@ from .realization import (
     Colligation,
     RealizedFunction,
     SynthesisDiagnostics,
-    _synthesize_from_choi,
+    _synthesize,
     _transfer_stack,
 )
 from .sampling import _sample_stack
@@ -178,7 +180,7 @@ def multi_point_to_single(problems: Sequence[PickProblem]) -> PickProblem:
 
 
 def pick_certificate(p: PickProblem,
-                     rel_tol: float = 1e-9) -> tuple[PsdCertificate, ChoiMatrix]:
+                     rel_tol: float = PSD_REL_TOL) -> tuple[PsdCertificate, ChoiMatrix]:
     """PSD certificate for solvability of the tangential problem.
 
     Certifies the Choi matrix of the de Branges-Rovnyak map at the node
@@ -208,21 +210,21 @@ class SolveReport:
 
 def solve_pick(p: PickProblem, tol: float = 1e-9,
                samples: int = 100, sample_levels: Sequence[int] = (1, 2),
-               seed: int = 0, rel_tol: float = 1e-9) -> SolveReport:
+               seed: int = 0, rel_tol: float = PSD_REL_TOL) -> SolveReport:
     """Certify, synthesize, and verify a single-point tangential problem.
 
-    On a PSD certificate the lurking-isometry construction factors the
-    certificate's Choi matrix (built once, tested once), the synthesis
+    One Choi matrix and one ``eigh`` of it give the certificate and, on a
+    PSD verdict, the Kolmogorov factor for the lurking-isometry synthesis, which
     reports the interpolation residual ||A0 S(Z0) - B0||, and contractivity
     is spot-checked on seeded in-domain samples: the
     ``samples // len(sample_levels)`` points of each level are drawn,
     scaled and evaluated as one stack, with Q0 evaluated once per point.
     Infeasible problems return the certificate with ``feasible=False``.
     """
-    cert, choi = pick_certificate(p, rel_tol=rel_tol)
-    if not cert.is_psd:
+    cert, factor = _certified_factor(dbr_choi(p.Q0, p.Z0, p.A0, p.B0), rel_tol)
+    if factor is None:
         return SolveReport(False, cert)
-    col, diag = _synthesize_from_choi(p.Q0, p.Z0, p.A0, p.B0, choi, cert, tol=tol)
+    col, diag = _synthesize(p.Q0, p.Z0, p.A0, p.B0, factor, cert, tol=tol)
     rng = np.random.default_rng(seed)
     per_level = max(1, samples // max(1, len(sample_levels)))
     norms: list[float] = []
@@ -285,7 +287,7 @@ def twisted_ltoa_eval(S, Z0: MatrixTuple, X, trunc_tol: float = 1e-10) -> np.nda
     return _ltoa_sum(_coerce_ltoa_operand(S, Z0, trunc_tol), Z0, X, transpose_words=False)
 
 
-def ltoa_certificate(p: LtoaProblem, rel_tol: float = 1e-9) -> PsdCertificate:
+def ltoa_certificate(p: LtoaProblem, rel_tol: float = PSD_REL_TOL) -> PsdCertificate:
     """Solvability test: PSD of T with T - sum_i Z_i T Z_i^* = X X^* - Y Y^*.
 
     The infinite word sum collapses to the exact Stein fixed point, solved
@@ -298,7 +300,7 @@ def ltoa_certificate(p: LtoaProblem, rel_tol: float = 1e-9) -> PsdCertificate:
 
 
 def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
-                                rel_tol: float = 1e-9) -> PsdCertificate:
+                                rel_tol: float = PSD_REL_TOL) -> PsdCertificate:
     """Stein-dominance test for the full value problem S(Z0) = Lambda0.
 
     Certifies complete positivity of P -> k(P) (x) I_Y - L (k(P) (x) I_U) L^*

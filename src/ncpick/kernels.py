@@ -6,15 +6,15 @@ the disk it is the unique solution T of the Stein identity
 
     T - Q0(Z) (T (x) I_R) Q0(W)* = P,
 
-computed by one dense linear solve on the vectorized equation.  A truncated
-geometric series with an a-priori tail bound is kept as an independent
-cross-check of the solve.  A linear map on matrices is represented by its
+computed by one dense linear solve on the vectorized equation (the test
+suite keeps the truncated geometric series, with its a-priori tail bound,
+as an independent oracle).  A linear map on matrices is represented by its
 matrix on row-major vectorized inputs, and its Choi matrix is a reshape of
 that matrix (``map_matrix_to_choi``; ``cp_check_finite`` applies the same
 reshape to rectangular pair blocks).  On top of that sit PSD certificates,
-Kolmogorov factorizations, the finite complete-positivity test of the Szego
-kernel, and the de Branges-Rovnyak kernel used by the interpolation
-criteria.
+Kolmogorov factors certified by their own eigendecomposition, the finite
+complete-positivity test of the Szego kernel, and the de Branges-Rovnyak
+kernel used by the interpolation criteria.
 
 Everything here is pure and operates on immutable inputs; callers may
 parallelize across independent (Z, W, P) triples.
@@ -29,13 +29,10 @@ import numpy as np
 
 from .core import (
     DimensionMismatchError,
-    DomainError,
     MatrixTuple,
     NcMatrixPolynomial,
     _eval_in_domain,
-    _eval_poly,
     amp,
-    operator_norm,
 )
 
 __all__ = [
@@ -46,15 +43,12 @@ __all__ = [
     "psd_check",
     "cp_check_finite",
     "kolmogorov_factor",
-    "phi_map",
     "szego_kernel_solve",
-    "szego_kernel_series",
     "szego_map_matrix",
     "dbr_kernel",
     "dbr_map_matrix",
     "dbr_choi",
     "map_matrix_to_choi",
-    "sandwich_matrix",
 ]
 
 #: Relative eigenvalue threshold below which Kolmogorov ranks are truncated.
@@ -159,32 +153,39 @@ class KolmogorovFactor:
         return np.hstack(self.blocks)
 
 
+def _certified_factor(C: ChoiMatrix, psd_tol: float, rank_tol: float = KOLMOGOROV_RANK_TOL,
+                      ) -> tuple[PsdCertificate, KolmogorovFactor | None]:
+    """PSD certificate of C and, on a ``psd`` verdict, its Kolmogorov factor.
+
+    One ``eigh`` gives both: the verdict is ``psd_check``'s dead band at
+    ``psd_tol``, and the factor keeps the eigenvalues above ``rank_tol``
+    times the largest (none if that is not positive).
+    """
+    b = C.block_dim
+    vals, vecs = np.linalg.eigh(_hermitian_part(C.matrix))
+    lo, hi = (float(vals[0]), float(vals[-1])) if vals.size else (0.0, 0.0)
+    cert = _certificate(lo, hi, psd_tol)
+    if not cert.is_psd:
+        return cert, None
+    keep = vals > rank_tol * max(cert.max_eig, 0.0)
+    F = vecs[:, keep] * np.sqrt(vals[keep])
+    return cert, KolmogorovFactor(F.shape[1], tuple(F[i * b : (i + 1) * b] for i in range(C.n)))
+
+
 def kolmogorov_factor(C: ChoiMatrix, rank_tol: float = KOLMOGOROV_RANK_TOL,
                       psd_tol: float = PSD_REL_TOL) -> KolmogorovFactor:
     """Factor a PSD Choi matrix as [B_i B_j^*] by truncated eigendecomposition.
 
     Eigenvalues below ``rank_tol`` times the largest are dropped; the
     retained rank is the state-space dimension of the induced Kolmogorov
-    decomposition M(P) = H (P (x) I_X) H^*.  The PSD test reads the same
-    eigendecomposition with the dead band of ``psd_check`` at ``psd_tol``,
-    so a caller that already holds a certificate passes its ``rel_tol``.
+    decomposition M(P) = H (P (x) I_X) H^*.  Wraps ``_certified_factor``,
+    whose one ``eigh`` also gives the PSD test at ``psd_tol``; raises
+    ``NotPsdError`` on a ``not_psd`` verdict.
     """
-    if C.matrix.size == 0:
-        return KolmogorovFactor(0, tuple(np.zeros((C.block_dim, 0), complex)
-                                         for _ in range(C.n)))
-    vals, vecs = np.linalg.eigh(_hermitian_part(C.matrix))
-    lo, top = float(vals[0]), float(vals[-1])
-    if not _certificate(lo, top, psd_tol).is_psd:
-        raise NotPsdError(f"Choi matrix is not PSD (min eig {lo:.3g})")
-    if top <= 0.0:
-        keep = np.zeros(vals.shape, dtype=bool)
-    else:
-        keep = vals > rank_tol * top
-    F = vecs[:, keep] * np.sqrt(np.clip(vals[keep], 0.0, None))
-    rank = F.shape[1]
-    b = C.block_dim
-    blocks = tuple(F[i * b : (i + 1) * b, :] for i in range(C.n))
-    return KolmogorovFactor(rank, blocks)
+    cert, factor = _certified_factor(C, psd_tol, rank_tol)
+    if factor is None:
+        raise NotPsdError(f"Choi matrix is not PSD (min eig {cert.min_eig:.3g})")
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +197,6 @@ def _check_row_poly(Q0: NcMatrixPolynomial) -> None:
     # the exact-solve route is specified only for one-row defining polynomials
     if Q0.s != 1:
         raise ValueError("the Szego kernel requires a one-row polynomial (s = 1)")
-
-
-def phi_map(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P) -> np.ndarray:
-    """One Stein step Phi(P) = Q0(Z) (P (x) I_R) Q0(W)^*."""
-    _check_row_poly(Q0)
-    P = np.asarray(P, dtype=complex)
-    if P.shape != (Z.n, W.n):
-        raise DimensionMismatchError("P must be level(Z) x level(W)")
-    QZ = _eval_poly(Q0, Z)
-    QW = _eval_poly(Q0, W)
-    return QZ @ amp(P, Q0.r) @ QW.conj().T
 
 
 def _phi_matrix(QZ: np.ndarray, QW: np.ndarray, r: int) -> np.ndarray:
@@ -256,44 +246,6 @@ def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P
     if P.shape != (Z.n, W.n):
         raise DimensionMismatchError("P must be level(Z) x level(W)")
     return _stein_solve(*_pair_values(Q0, Z, W), Q0.r, P.reshape(-1)).reshape(Z.n, W.n)
-
-
-def szego_kernel_series(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
-                        tol: float = 1e-12, max_terms: int = 10_000) -> tuple[np.ndarray, int]:
-    """Truncated geometric series for the kernel, with its truncation length.
-
-    Iterates T_{k+1} = Phi(T_k) from T_0 = P and stops once the a-priori
-    tail bound (rho_Z rho_W)^{L+1} / (1 - rho_Z rho_W) * ||P|| drops below
-    ``tol``.
-    """
-    _check_row_poly(Q0)
-    P = np.asarray(P, dtype=complex)
-    if P.shape != (Z.n, W.n):
-        raise DimensionMismatchError("P must be level(Z) x level(W)")
-    QZ = _eval_poly(Q0, Z)
-    QW = _eval_poly(Q0, W)
-    rho = operator_norm(QZ) * operator_norm(QW)
-    if rho >= 1.0:
-        raise DomainError("no convergent tail bound outside the disk")
-    normP = float(np.linalg.norm(P, 2))
-    total = np.array(P, dtype=complex)
-    term = np.array(P, dtype=complex)
-    L = 0
-    while rho ** (L + 1) / (1.0 - rho) * normP > tol:
-        term = QZ @ amp(term, Q0.r) @ QW.conj().T
-        total += term
-        L += 1
-        if L > max_terms:
-            raise RuntimeError("series failed to reach the tolerance")
-    return total, L
-
-
-def szego_tail_bound(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
-                     L: int) -> float:
-    """A-priori bound on the series remainder after L + 1 terms."""
-    rho = operator_norm(_eval_poly(Q0, Z)) * operator_norm(_eval_poly(Q0, W))
-    normP = float(np.linalg.norm(np.asarray(P), 2))
-    return rho ** (L + 1) / (1.0 - rho) * normP
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +299,7 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
     return cert, ChoiMatrix(N, N, full)
 
 
-def sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
+def _sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
     """Matrix of T -> A0 (T (x) I_c) A0^* on row-major vectorized n x n inputs.
 
     A0 is a coefficient-major value of shape (e n) x (c n); the result maps
@@ -397,7 +349,7 @@ def dbr_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> np.ndarray
     if A0.shape[0] != B0.shape[0]:
         raise DimensionMismatchError("A0 and B0 must share the E row space")
     K = szego_map_matrix(Q0, Z, Z)
-    return (sandwich_matrix(A0, Z.n) - sandwich_matrix(B0, Z.n)) @ K
+    return (_sandwich_matrix(A0, Z.n) - _sandwich_matrix(B0, Z.n)) @ K
 
 
 def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:

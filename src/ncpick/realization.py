@@ -43,11 +43,12 @@ from .core import (
 )
 from .kernels import (
     KOLMOGOROV_RANK_TOL,
-    ChoiMatrix,
+    PSD_REL_TOL,
+    KolmogorovFactor,
     NotPsdError,
     PsdCertificate,
+    _certified_factor,
     dbr_choi,
-    kolmogorov_factor,
     psd_check,
 )
 
@@ -208,7 +209,7 @@ def _transfer_stack(col: Colligation, QZ: np.ndarray) -> np.ndarray:
     return _readout(col, state, n)
 
 
-def colligation_contraction_check(col: Colligation, tol: float = 1e-9) -> PsdCertificate:
+def colligation_contraction_check(col: Colligation, tol: float = PSD_REL_TOL) -> PsdCertificate:
     """PSD certificate for I - U^* U."""
     U = col.as_matrix()
     return psd_check(np.eye(U.shape[1]) - U.conj().T @ U, rel_tol=tol)
@@ -307,8 +308,8 @@ def _unitary_completion(Q1: np.ndarray, images: np.ndarray, X: int, u: int, y: i
 
 def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
                                 tol: float = 1e-9,
-                                psd_tol: float = 1e-9,
-                                rank_tol: float = 1e-10,
+                                psd_tol: float = PSD_REL_TOL,
+                                rank_tol: float = KOLMOGOROV_RANK_TOL,
                                 completion: str = "zero",
                                 ) -> tuple[Colligation, SynthesisDiagnostics]:
     """Build a contractive colligation solving a0 S(Z0) = b0 from feasible data.
@@ -341,36 +342,30 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     n = Z0.n
     if a0.shape[0] != b0.shape[0] or a0.shape[0] % n or a0.shape[1] % n or b0.shape[1] % n:
         raise DimensionMismatchError("tangential data must be over the level of Z0")
-    choi = dbr_choi(Q0, Z0, a0, b0)
-    cert = psd_check(choi.matrix, rel_tol=psd_tol)
-    if not cert.is_psd:
+    cert, factor = _certified_factor(dbr_choi(Q0, Z0, a0, b0), psd_tol, rank_tol)
+    if factor is None:
         raise NotPsdError(
             f"de Branges-Rovnyak Choi matrix is not PSD (min eig {cert.min_eig:.3g})"
         )
-    return _synthesize_from_choi(Q0, Z0, a0, b0, choi, cert, tol=tol, rank_tol=rank_tol,
-                                 completion=completion)
+    return _synthesize(Q0, Z0, a0, b0, factor, cert, tol=tol, completion=completion)
 
 
-def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarray,
-                          b0: np.ndarray, choi: ChoiMatrix, cert: PsdCertificate,
-                          tol: float, rank_tol: float = KOLMOGOROV_RANK_TOL,
-                          completion: str = "zero",
-                          ) -> tuple[Colligation, SynthesisDiagnostics]:
+def _synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarray, b0: np.ndarray,
+                factor: KolmogorovFactor, cert: PsdCertificate, tol: float,
+                completion: str = "zero") -> tuple[Colligation, SynthesisDiagnostics]:
     """Body of ``lurking_isometry_synthesize`` on validated data.
 
-    ``choi`` is the de Branges-Rovnyak Choi matrix of (Q0, Z0, a0, b0) and
-    ``cert`` its PSD certificate; the Kolmogorov factor applies the
-    certificate's dead band to its own eigendecomposition, so no second
-    ``psd_check`` runs on the matrix.  One thin SVD of the D family is the
-    rank-revealing step: it gives the orthonormal basis of span D and, with
-    the R family, the lurking isometry on it.
+    ``factor`` and ``cert`` come from ``kernels._certified_factor``'s one
+    ``eigh`` of the de Branges-Rovnyak Choi matrix of (Q0, Z0, a0, b0).  The
+    D family's top rows are one ``einsum`` of Q0(Z0)^* with the factor.  One
+    thin SVD of the D family is the rank-revealing step: it gives the
+    orthonormal basis of span D and, with the R family, the lurking isometry.
     """
     n = Z0.n
     e_dim = a0.shape[0] // n
     y = a0.shape[1] // n
     u = b0.shape[1] // n
     r = Q0.r
-    factor = kolmogorov_factor(choi, rank_tol=rank_tol, psd_tol=cert.rel_tol)
     X = factor.rank
     H = factor.stacked  # (e n) x (n X), domain C^n (x) X
 
@@ -381,14 +376,10 @@ def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarra
     # Q0(Z0), evaluated once for the D family and the interpolation residual;
     # the certificate's Stein solve has already checked that Z0 is in the disk
     QZ0 = _eval_poly(Q0, Z0)
-    # top of the D family: rows (rho, i, x) of (Q0(Z0)^* (x) I_X) H^* e
-    if X > 0:
-        T1 = np.kron(QZ0.conj().T, np.eye(X)) @ Hh
-        Dtop = T1.reshape(r, n, X, en).transpose(0, 2, 1, 3).reshape(r * X, K)
-        Rtop = Hh.reshape(n, X, en).transpose(1, 0, 2).reshape(X, K)
-    else:
-        Dtop = np.zeros((0, K), dtype=complex)
-        Rtop = np.zeros((0, K), dtype=complex)
+    # top of the D family: rows (rho, i, x) of (Q0(Z0)^* (x) I_X) H^* e at column (i, e)
+    Hh3 = Hh.reshape(n, X, en)
+    Dtop = np.einsum("jri,jxc->rxic", QZ0.conj().reshape(n, r, n), Hh3).reshape(r * X, K)
+    Rtop = Hh3.transpose(1, 0, 2).reshape(X, K)
     Dbot = a0.conj().T.reshape(y, n, en).reshape(y, K)
     Rbot = b0.conj().T.reshape(u, n, en).reshape(u, K)
     Dmat = np.vstack([Dtop, Dbot])
@@ -420,7 +411,7 @@ def _synthesize_from_choi(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarra
         # zero-extension keeps the state dimension minimal; clamp the rare
         # above-one singular values produced by the Gram residual
         Ustar = images @ Q1.conj().T
-        norm_U = operator_norm(Ustar) if Ustar.size else 0.0
+        norm_U = operator_norm(Ustar)
         if norm_U > 1.0:
             W, sv, Vh = np.linalg.svd(Ustar, full_matrices=False)
             Ustar = (W * np.minimum(sv, 1.0)) @ Vh

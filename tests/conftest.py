@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from ncpick.core import MatrixTuple
+from ncpick.core import DimensionMismatchError, DomainError, MatrixTuple, _eval_poly, amp, \
+    operator_norm
 from ncpick.realization import amplify
 
 
@@ -41,7 +42,8 @@ def block_diag(*blocks) -> np.ndarray:
 
 
 def count_calls(monkeypatch, module, name):
-    """Record calls to module.name from every ncpick module that bound it."""
+    """Record calls to module.name, through the module (``np.linalg.eigh``)
+    and from every ncpick module that bound it."""
     original = getattr(module, name)
     calls = []
 
@@ -49,6 +51,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counting)
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("ncpick") and \
                 getattr(mod, name, None) is original:
@@ -95,3 +98,54 @@ def amplified_partial_sum(col, QZ: np.ndarray, L: int) -> np.ndarray:
         term = G @ term
         acc = acc + term
     return Dn + Cn @ acc
+
+
+# The truncated geometric series for the Szego kernel, an oracle for the
+# exact Stein solve
+
+
+def _row_values(Q0, Z, W, P):
+    """Q0(Z), Q0(W) and P as an array, for a one-row Q0 and P of level(Z) x level(W)."""
+    if Q0.s != 1:
+        raise ValueError("the Szego kernel requires a one-row polynomial (s = 1)")
+    P = np.asarray(P, dtype=complex)
+    if P.shape != (Z.n, W.n):
+        raise DimensionMismatchError("P must be level(Z) x level(W)")
+    return _eval_poly(Q0, Z), _eval_poly(Q0, W), P
+
+
+def phi_map(Q0, Z: MatrixTuple, W: MatrixTuple, P) -> np.ndarray:
+    """One Stein step Phi(P) = Q0(Z) (P (x) I_R) Q0(W)^*."""
+    QZ, QW, P = _row_values(Q0, Z, W, P)
+    return QZ @ amp(P, Q0.r) @ QW.conj().T
+
+
+def szego_kernel_series(Q0, Z: MatrixTuple, W: MatrixTuple, P, tol: float = 1e-12,
+                        max_terms: int = 10_000) -> tuple[np.ndarray, int]:
+    """Truncated geometric series for the kernel, with its truncation length.
+
+    Iterates T_{k+1} = Phi(T_k) from T_0 = P and stops once the a-priori
+    tail bound (rho_Z rho_W)^{L+1} / (1 - rho_Z rho_W) * ||P|| drops below
+    ``tol``.
+    """
+    QZ, QW, P = _row_values(Q0, Z, W, P)
+    rho = operator_norm(QZ) * operator_norm(QW)
+    if rho >= 1.0:
+        raise DomainError("no convergent tail bound outside the disk")
+    normP = float(np.linalg.norm(P, 2))
+    total, term = P.copy(), P.copy()
+    L = 0
+    while rho ** (L + 1) / (1.0 - rho) * normP > tol:
+        term = QZ @ amp(term, Q0.r) @ QW.conj().T
+        total += term
+        L += 1
+        if L > max_terms:
+            raise RuntimeError("series failed to reach the tolerance")
+    return total, L
+
+
+def szego_tail_bound(Q0, Z: MatrixTuple, W: MatrixTuple, P, L: int) -> float:
+    """A-priori bound on the series remainder after L + 1 terms."""
+    rho = operator_norm(_eval_poly(Q0, Z)) * operator_norm(_eval_poly(Q0, W))
+    normP = float(np.linalg.norm(np.asarray(P), 2))
+    return rho ** (L + 1) / (1.0 - rho) * normP

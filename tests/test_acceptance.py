@@ -30,8 +30,7 @@ from ncpick.interpolation import (
     stein_dominance_certificate,
     twisted_ltoa_eval,
 )
-from ncpick.kernels import phi_map, szego_kernel_series, szego_kernel_solve, \
-    szego_tail_bound
+from ncpick.kernels import szego_kernel_solve
 from ncpick.okaweil import uniform_error_report
 from ncpick.realization import (
     Colligation,
@@ -42,7 +41,8 @@ from ncpick.realization import (
 )
 from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
-from conftest import block_diag, jordan_cell, mt, scalar_point
+from conftest import block_diag, jordan_cell, mt, phi_map, scalar_point, szego_kernel_series, \
+    szego_tail_bound
 
 
 class Budget:

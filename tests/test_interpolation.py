@@ -28,8 +28,10 @@ from ncpick.interpolation import (
     strict_stein_refuter,
     twisted_ltoa_eval,
 )
+from ncpick.kernels import NotPsdError
 from ncpick.realization import (
     RealizedFunction,
+    lurking_isometry_synthesize,
     random_contractive_colligation,
     transfer_eval,
 )
@@ -264,9 +266,10 @@ class TestSolvePick:
         rep = solve_pick(p, samples=10)
         assert rep.feasible and rep.interp_residual <= 1e-9
 
+    @pytest.mark.parametrize("route", ["solve_pick", "synthesize"])
     @pytest.mark.parametrize("feasible", [True, False])
-    def test_one_choi_build_and_one_psd_check(self, monkeypatch, rng, feasible):
-        # synthesis factors the certificate's Choi matrix and reuses its verdict
+    def test_one_choi_build_and_one_eigh(self, monkeypatch, rng, feasible, route):
+        # the verdict and the Kolmogorov factor come from one eigendecomposition
         Q = NcMatrixPolynomial.row_pencil(2)
         Z0 = sample_in_domain(Q, 2, rng, 0.5)
         col = random_contractive_colligation(2, 1, 1, 2, seed=7)
@@ -274,9 +277,61 @@ class TestSolvePick:
         p = PickProblem(Q, Z0, np.eye(2), B0)
         builds = count_calls(monkeypatch, kernels, "map_matrix_to_choi")
         checks = count_calls(monkeypatch, kernels, "psd_check")
+        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+        eigvals = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        if route == "solve_pick":
+            assert solve_pick(p, samples=4).feasible == feasible
+        elif feasible:
+            lurking_isometry_synthesize(Q, Z0, p.A0, p.B0)
+        else:
+            with pytest.raises(NotPsdError):
+                lurking_isometry_synthesize(Q, Z0, p.A0, p.B0)
+        assert (len(builds), len(eighs), len(eigvals), len(checks)) == (1, 1, 0, 0)
+
+    @given(d=st.integers(1, 2), n=st.integers(1, 3), e=st.integers(1, 2),
+           y=st.integers(1, 2), u=st.integers(1, 2), feasible=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_certificate_matches_pick_certificate(self, d, n, e, y, u, feasible, seed):
+        # solve_pick reads its verdict off eigh, pick_certificate off eigvalsh
+        rng = np.random.default_rng(seed)
+        Q = NcMatrixPolynomial.row_pencil(d)
+        Z0 = sample_in_domain(Q, n, rng, 0.5)
+        A0 = complex_gaussian(rng, (e * n, y * n))
+        if feasible:
+            col = random_contractive_colligation(2, u, y, d, seed=seed)
+            B0 = 0.9 * A0 @ transfer_eval(RealizedFunction(col, Q), Z0)
+        else:
+            # the Choi trace is tr A0 (T (x) I) A0^* - tr B0 (T (x) I) B0^* with
+            # I <= T = k(Z0, Z0)(I) <= I / (1 - 0.5^2), so ||B0||_F = 2 ||A0||_F
+            # makes it negative
+            G = complex_gaussian(rng, (e * n, u * n))
+            B0 = 2.0 * np.linalg.norm(A0) / np.linalg.norm(G) * G
+        p = PickProblem(Q, Z0, A0, B0)
+        got = solve_pick(p, samples=2).certificate
+        want, _ = pick_certificate(p)
+        assert got.is_psd == feasible
+        assert (got.verdict, got.marginal) == (want.verdict, want.marginal)
+        band = 1e-12 * max(1.0, want.max_eig)
+        assert abs(got.min_eig - want.min_eig) <= band
+        assert abs(got.max_eig - want.max_eig) <= band
+
+    @pytest.mark.parametrize("y", [1, 2])
+    def test_zero_state_synthesis(self, rng, y):
+        # b0 = a0 with y = u: S = I interpolates, the Choi matrix is exactly
+        # zero, and synthesis runs at dimX = 0
+        Q = NcMatrixPolynomial.row_pencil(2)
+        Z0 = sample_in_domain(Q, 3, rng, 0.5)
+        a0 = complex_gaussian(rng, (2 * 3, y * 3))
+        p = PickProblem(Q, Z0, a0, a0)
+        assert not pick_certificate(p)[1].matrix.any()
+        col, diag = lurking_isometry_synthesize(Q, Z0, a0, a0)
         rep = solve_pick(p, samples=4)
-        assert rep.feasible == feasible
-        assert (len(builds), len(checks)) == (1, 1)
+        assert rep.feasible
+        for c, resid in ((col, diag.interp_residual), (rep.colligation, rep.interp_residual)):
+            assert c.dimX == 0
+            assert np.linalg.norm(c.D - np.eye(y), 2) <= 1e-12
+            assert resid <= 1e-13
 
     def test_synthesis_evaluates_the_node_once(self, monkeypatch, rng):
         # the D family and the interpolation residual share one Q0(Z0); the
@@ -287,7 +342,7 @@ class TestSolvePick:
         p = PickProblem(Q, Z0, np.eye(2), 0.9 * transfer_eval(RealizedFunction(col, Q), Z0))
         evals = count_calls(monkeypatch, core, "_eval_poly")
         norms = count_calls(monkeypatch, core, "operator_norm")
-        synthesize, seen = interpolation._synthesize_from_choi, []
+        synthesize, seen = interpolation._synthesize, []
 
         def counting(*args, **kwargs):
             before = (len(evals), len(norms))
@@ -295,7 +350,7 @@ class TestSolvePick:
             seen.append((len(evals) - before[0], len(norms) - before[1]))
             return out
 
-        monkeypatch.setattr(interpolation, "_synthesize_from_choi", counting)
+        monkeypatch.setattr(interpolation, "_synthesize", counting)
         rep = solve_pick(p)
         assert rep.feasible and rep.interp_residual <= 1e-9
         assert seen == [(1, 2)]
@@ -340,7 +395,7 @@ class TestContractivitySamples:
         # verify a colligation of the wanted state dimension in place of the
         # synthesized one, so every dimX is covered whatever synthesis returns
         col = random_contractive_colligation(dimX, u, y, Q0.r, seed=seed)
-        synthesize = interpolation._synthesize_from_choi
+        synthesize = interpolation._synthesize
         drawn = []
 
         def substitute(*args, **kwargs):
@@ -351,7 +406,7 @@ class TestContractivitySamples:
             drawn.append((Zs, gen))
             return Zs, QZ
 
-        with mock.patch.object(interpolation, "_synthesize_from_choi", substitute), \
+        with mock.patch.object(interpolation, "_synthesize", substitute), \
                 mock.patch.object(interpolation, "_sample_stack", recording):
             rep = solve_pick(p, samples=samples, sample_levels=levels, seed=seed)
         points, want, oracle_rng = per_sample_contractivity(col, Q0, samples, levels, seed)

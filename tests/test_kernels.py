@@ -13,16 +13,14 @@ from ncpick.kernels import (
     dbr_kernel,
     kolmogorov_factor,
     map_matrix_to_choi,
-    phi_map,
     psd_check,
-    szego_kernel_series,
     szego_kernel_solve,
     szego_map_matrix,
-    szego_tail_bound,
 )
 from ncpick.sampling import random_row_poly, sample_in_domain
 
-from conftest import count_calls, mt, scalar_point
+from conftest import count_calls, mt, phi_map, scalar_point, szego_kernel_series, \
+    szego_tail_bound
 
 
 class TestPsdCheck:
