@@ -17,7 +17,7 @@ finite LTOA sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from .kernels import (
     ChoiMatrix,
     PsdCertificate,
     _certified_factor,
+    _dbr_choi_at,
     dbr_choi,
     psd_check,
     szego_kernel_solve,
@@ -83,6 +84,8 @@ class PickProblem:
     Z0: MatrixTuple
     A0: np.ndarray
     B0: np.ndarray
+    # Q0(Z0), evaluated once by the domain check and reused by every stage
+    _QZ0: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         A0 = np.array(self.A0, dtype=complex)
@@ -90,14 +93,18 @@ class PickProblem:
         n = self.Z0.n
         if A0.ndim != 2 or B0.ndim != 2 or A0.shape[0] != B0.shape[0]:
             raise DimensionMismatchError("A0 and B0 must share their row space")
+        if A0.shape[0] == 0:
+            raise DimensionMismatchError("tangential data needs at least one row (dimE >= 1)")
         if A0.shape[0] % n or A0.shape[1] % n or B0.shape[1] % n:
             raise DimensionMismatchError("tangential data must be over the level of Z0")
-        if not in_domain(self.Q0, self.Z0):
+        QZ0 = _eval_poly(self.Q0, self.Z0)
+        if not operator_norm(QZ0) < 1.0:
             raise DomainError("interpolation node lies outside the disk of Q0")
-        A0.setflags(write=False)
-        B0.setflags(write=False)
+        for a in (A0, B0, QZ0):
+            a.setflags(write=False)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "B0", B0)
+        object.__setattr__(self, "_QZ0", QZ0)
 
     @property
     def n(self) -> int:
@@ -188,7 +195,7 @@ def pick_certificate(p: PickProblem,
     positivity.  ``min_eig`` is the node-level margin: a k-fold repeated
     node would only scale the spectrum by k and add zeros.
     """
-    choi = dbr_choi(p.Q0, p.Z0, p.A0, p.B0)
+    choi = _dbr_choi_at(p.Q0, p._QZ0, p.A0, p.B0)
     return psd_check(choi.matrix, rel_tol=rel_tol), choi
 
 
@@ -221,10 +228,10 @@ def solve_pick(p: PickProblem, tol: float = 1e-9,
     scaled and evaluated as one stack, with Q0 evaluated once per point.
     Infeasible problems return the certificate with ``feasible=False``.
     """
-    cert, factor = _certified_factor(dbr_choi(p.Q0, p.Z0, p.A0, p.B0), rel_tol)
+    cert, factor = _certified_factor(_dbr_choi_at(p.Q0, p._QZ0, p.A0, p.B0), rel_tol)
     if factor is None:
         return SolveReport(False, cert)
-    col, diag = _synthesize(p.Q0, p.Z0, p.A0, p.B0, factor, cert, tol=tol)
+    col, diag = _synthesize(p.Q0, p._QZ0, p.A0, p.B0, factor, cert, tol=tol)
     rng = np.random.default_rng(seed)
     per_level = max(1, samples // max(1, len(sample_levels)))
     norms: list[float] = []

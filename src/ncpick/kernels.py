@@ -202,15 +202,13 @@ def _check_row_poly(Q0: NcMatrixPolynomial) -> None:
 def _phi_matrix(QZ: np.ndarray, QW: np.ndarray, r: int) -> np.ndarray:
     """Matrix of Phi on row-major vectorized n x m inputs, from Q0(Z) and Q0(W).
 
-    For a one-row Q0 the values have shapes n x (r n) and m x (r m).
+    For a one-row Q0 the values have shapes n x (r n) and m x (r m); with
+    E_rho, F_rho their blocks in tensor slot rho the matrix is
+    sum_rho E_rho (x) conj(F_rho), one ``einsum`` over rho.
     """
     n, m = QZ.shape[0], QW.shape[0]
-    M = np.zeros((n * m, n * m), dtype=complex)
-    for rho in range(r):
-        G = QZ[:, rho * n : (rho + 1) * n]
-        H = QW[:, rho * m : (rho + 1) * m]
-        M += np.kron(G, H.conj())
-    return M
+    return np.einsum("irj,krl->ikjl", QZ.reshape(n, r, n),
+                     QW.conj().reshape(m, r, m)).reshape(n * m, n * m)
 
 
 def _stein_solve(QZ: np.ndarray, QW: np.ndarray, r: int, rhs: np.ndarray) -> np.ndarray:
@@ -303,17 +301,15 @@ def _sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
     """Matrix of T -> A0 (T (x) I_c) A0^* on row-major vectorized n x n inputs.
 
     A0 is a coefficient-major value of shape (e n) x (c n); the result maps
-    vec(T) to vec of an (e n) x (e n) matrix.
+    vec(T) to vec of an (e n) x (e n) matrix.  With P_q the q-th block
+    column of A0 it is sum_q P_q (x) conj(P_q), one ``einsum`` over q.
     """
     A0 = np.asarray(A0, dtype=complex)
     if A0.shape[1] % n:
         raise DimensionMismatchError("value columns are not a multiple of the level")
-    c = A0.shape[1] // n
-    out = np.zeros((A0.shape[0] ** 2, n * n), dtype=complex)
-    for q in range(c):
-        blockcol = A0[:, q * n : (q + 1) * n]
-        out += np.kron(blockcol, blockcol.conj())
-    return out
+    en, c = A0.shape[0], A0.shape[1] // n
+    P = A0.reshape(en, c, n)
+    return np.einsum("aqi,bqj->abij", P, P.conj()).reshape(en * en, n * n)
 
 
 def dbr_kernel(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
@@ -342,14 +338,31 @@ def dbr_kernel(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
     return aZ @ amp(k, y) @ aW.conj().T - bZ @ amp(k, u) @ bW.conj().T
 
 
-def dbr_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> np.ndarray:
-    """Matrix of P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on vec inputs."""
+def _dbr_map_at(Q0: NcMatrixPolynomial, QZ: np.ndarray, A0, B0) -> np.ndarray:
+    """Matrix of the de Branges-Rovnyak map at a node, from its value QZ = Q0(Z).
+
+    The caller has evaluated Q0(Z) and checked that it lies in the disk;
+    this is the one route from that value to the map matrix, for
+    ``dbr_map_matrix``, ``dbr_choi`` and the Pick pipeline.
+    """
+    _check_row_poly(Q0)
     A0 = np.asarray(A0, dtype=complex)
     B0 = np.asarray(B0, dtype=complex)
     if A0.shape[0] != B0.shape[0]:
         raise DimensionMismatchError("A0 and B0 must share the E row space")
-    K = szego_map_matrix(Q0, Z, Z)
-    return (_sandwich_matrix(A0, Z.n) - _sandwich_matrix(B0, Z.n)) @ K
+    n = QZ.shape[0]
+    K = _stein_solve(QZ, QZ, Q0.r, np.eye(n * n))
+    return (_sandwich_matrix(A0, n) - _sandwich_matrix(B0, n)) @ K
+
+
+def _dbr_choi_at(Q0: NcMatrixPolynomial, QZ: np.ndarray, A0, B0) -> ChoiMatrix:
+    """Choi matrix of the de Branges-Rovnyak map at a node, from QZ = Q0(Z)."""
+    return map_matrix_to_choi(_dbr_map_at(Q0, QZ, A0, B0), QZ.shape[0], np.shape(A0)[0])
+
+
+def dbr_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> np.ndarray:
+    """Matrix of P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on vec inputs."""
+    return _dbr_map_at(Q0, _eval_in_domain(Q0, Z), A0, B0)
 
 
 def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
@@ -358,8 +371,7 @@ def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
     The map is P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on n x n inputs;
     its Choi matrix has n x n blocks of side (e n), the row dimension of A0.
     """
-    A0 = np.asarray(A0, dtype=complex)
-    return map_matrix_to_choi(dbr_map_matrix(Q0, Z, A0, B0), Z.n, A0.shape[0])
+    return _dbr_choi_at(Q0, _eval_in_domain(Q0, Z), A0, B0)
 
 
 def _choi_reshuffle(Mmat: np.ndarray, in_shape: tuple[int, int],

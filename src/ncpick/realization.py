@@ -20,10 +20,10 @@ U (x) C^n and Y (x) C^n.
 The transfer function is evaluated from the value Q0(Z) alone, on a stack
 of K points of one level at a time: with E_rho the n x n block of Q0(Z)
 in tensor slot rho, ``(Q0(Z) (x) I_X) A^(n) = sum_rho E_rho (x) A_rho``,
-so one ``einsum`` per block, one stacked ``solve`` and one ``einsum`` for
-C replace the amplified colligation and its Kronecker products.  A single
-point is the stack K = 1.  ``amplify`` still builds the amplified blocks
-explicitly; no evaluation path uses it.
+so one matmul over the tensor slot per block (A and B), one stacked
+``solve`` and one ``einsum`` for C replace the amplified colligation and
+its Kronecker products.  A single point is the stack K = 1.  ``amplify``
+still builds the amplified blocks explicitly; no evaluation path uses it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     MatrixTuple,
     NcMatrixPolynomial,
     _eval_in_domain,
-    _eval_poly,
     operator_norm,
 )
 from .kernels import (
@@ -48,7 +47,7 @@ from .kernels import (
     NotPsdError,
     PsdCertificate,
     _certified_factor,
-    dbr_choi,
+    _dbr_choi_at,
     psd_check,
 )
 
@@ -178,14 +177,16 @@ def _state_maps(col: Colligation, QZ: np.ndarray) -> tuple[np.ndarray, np.ndarra
     E_rho the n x n block of Q0(Z) in tensor slot rho, the state map is
     G = sum_rho E_rho (x) A_rho on C^n (x) X and the input map sends
     U (x) C^n to sum_rho E_rho[i, j] B_rho, so neither the amplified
-    colligation nor ``Q0(Z) (x) I_X`` is formed.
+    colligation nor ``Q0(Z) (x) I_X`` is formed: each is one
+    (K n^2, r) @ (r, X^2) (resp. (r, X u)) matmul over the tensor slot.
     """
     K, n = QZ.shape[0], QZ.shape[1]
     X, u, r = col.dimX, col.dimU, col.r
-    E = QZ.reshape(K, n, r, n)
-    G = np.einsum("kirj,rvx->kivjx", E, col.A.reshape(r, X, X)).reshape(K, n * X, n * X)
-    B = np.einsum("kirj,rvu->kivuj", E, col.B.reshape(r, X, u)).reshape(K, n * X, u * n)
-    return G, B
+    E = QZ.reshape(K, n, r, n).transpose(0, 1, 3, 2).reshape(K * n * n, r)
+    G = (E @ col.A.reshape(r, X * X)).reshape(K, n, n, X, X)
+    B = (E @ col.B.reshape(r, X * u)).reshape(K, n, n, X, u)
+    return (G.transpose(0, 1, 3, 2, 4).reshape(K, n * X, n * X),
+            B.transpose(0, 1, 3, 4, 2).reshape(K, n * X, u * n))
 
 
 def _readout(col: Colligation, state: np.ndarray, n: int) -> np.ndarray:
@@ -205,8 +206,10 @@ def _transfer_stack(col: Colligation, QZ: np.ndarray) -> np.ndarray:
     """
     n = QZ.shape[1]
     G, B = _state_maps(col, QZ)
-    state = np.linalg.solve(np.eye(n * col.dimX) - G, B)
-    return _readout(col, state, n)
+    # I - G in place: G is a fresh array
+    np.negative(G, out=G)
+    G.reshape(G.shape[0], -1)[:, :: n * col.dimX + 1] += 1.0
+    return _readout(col, np.linalg.solve(G, B), n)
 
 
 def colligation_contraction_check(col: Colligation, tol: float = PSD_REL_TOL) -> PsdCertificate:
@@ -331,9 +334,10 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     defect spaces match and extends by a unitary between them, when the
     block shapes allow it (ValueError otherwise).
 
-    Raises ``DomainError`` (from the Stein solve) when Z0 lies outside the
-    disk of Q0, ``NotPsdError`` when the data is infeasible and
-    ``SynthesisConsistencyError`` on a Gram mismatch beyond 100 * tol.
+    Raises ``DimensionMismatchError`` when the data has no rows (dimE = 0),
+    ``DomainError`` when Z0 lies outside the disk of Q0, ``NotPsdError``
+    when the data is infeasible and ``SynthesisConsistencyError`` on a Gram
+    mismatch beyond 100 * tol.
     """
     if completion not in ("zero", "unitary"):
         raise ValueError("completion must be 'zero' or 'unitary'")
@@ -342,26 +346,30 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     n = Z0.n
     if a0.shape[0] != b0.shape[0] or a0.shape[0] % n or a0.shape[1] % n or b0.shape[1] % n:
         raise DimensionMismatchError("tangential data must be over the level of Z0")
-    cert, factor = _certified_factor(dbr_choi(Q0, Z0, a0, b0), psd_tol, rank_tol)
+    if a0.shape[0] == 0:
+        raise DimensionMismatchError("tangential data needs at least one row (dimE >= 1)")
+    QZ0 = _eval_in_domain(Q0, Z0)
+    cert, factor = _certified_factor(_dbr_choi_at(Q0, QZ0, a0, b0), psd_tol, rank_tol)
     if factor is None:
         raise NotPsdError(
             f"de Branges-Rovnyak Choi matrix is not PSD (min eig {cert.min_eig:.3g})"
         )
-    return _synthesize(Q0, Z0, a0, b0, factor, cert, tol=tol, completion=completion)
+    return _synthesize(Q0, QZ0, a0, b0, factor, cert, tol=tol, completion=completion)
 
 
-def _synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarray, b0: np.ndarray,
+def _synthesize(Q0: NcMatrixPolynomial, QZ0: np.ndarray, a0: np.ndarray, b0: np.ndarray,
                 factor: KolmogorovFactor, cert: PsdCertificate, tol: float,
                 completion: str = "zero") -> tuple[Colligation, SynthesisDiagnostics]:
     """Body of ``lurking_isometry_synthesize`` on validated data.
 
-    ``factor`` and ``cert`` come from ``kernels._certified_factor``'s one
-    ``eigh`` of the de Branges-Rovnyak Choi matrix of (Q0, Z0, a0, b0).  The
+    ``QZ0`` is the node value Q0(Z0), already checked to lie in the disk,
+    and ``factor`` and ``cert`` come from ``kernels._certified_factor``'s
+    one ``eigh`` of the de Branges-Rovnyak Choi matrix built from it.  The
     D family's top rows are one ``einsum`` of Q0(Z0)^* with the factor.  One
     thin SVD of the D family is the rank-revealing step: it gives the
     orthonormal basis of span D and, with the R family, the lurking isometry.
     """
-    n = Z0.n
+    n = QZ0.shape[0]
     e_dim = a0.shape[0] // n
     y = a0.shape[1] // n
     u = b0.shape[1] // n
@@ -373,9 +381,6 @@ def _synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarray, b0: np.
     K = n * en  # family size: n coordinate rows, en basis vectors
     Hh = H.conj().T  # (n X) x (e n), columns indexed by the basis of E^n
 
-    # Q0(Z0), evaluated once for the D family and the interpolation residual;
-    # the certificate's Stein solve has already checked that Z0 is in the disk
-    QZ0 = _eval_poly(Q0, Z0)
     # top of the D family: rows (rho, i, x) of (Q0(Z0)^* (x) I_X) H^* e at column (i, e)
     Hh3 = Hh.reshape(n, X, en)
     Dtop = np.einsum("jri,jxc->rxic", QZ0.conj().reshape(n, r, n), Hh3).reshape(r * X, K)
@@ -422,7 +427,11 @@ def _synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0: np.ndarray, b0: np.
     C = Ustar[:X, r * X :].conj().T
     B = Ustar[X:, : r * X].conj().T
     D = Ustar[X:, r * X :].conj().T
-    col = Colligation(X, u, y, r, A, B, C, D, flags=flags)
+    # the unitary completion is verified on construction; the zero
+    # completion's norm was checked (and clamped) above on Ustar, the adjoint
+    # of the colligation matrix, so its flag is set without a second SVD
+    col = Colligation(X, u, y, r, A, B, C, D, flags=flags if completion == "unitary" else ())
+    object.__setattr__(col, "flags", flags)
 
     S0 = _transfer_stack(col, QZ0[None])[0]
     resid = float(np.linalg.norm(a0 @ S0 - b0, 2))

@@ -149,3 +149,38 @@ def szego_tail_bound(Q0, Z: MatrixTuple, W: MatrixTuple, P, L: int) -> float:
     rho = operator_norm(_eval_poly(Q0, Z)) * operator_norm(_eval_poly(Q0, W))
     normP = float(np.linalg.norm(np.asarray(P), 2))
     return rho ** (L + 1) / (1.0 - rho) * normP
+
+
+# Kronecker-loop vec-matrices and the einsum state maps, oracles for the
+# einsum / matmul forms in ``kernels`` and ``realization``
+
+
+def kron_phi_matrix(QZ: np.ndarray, QW: np.ndarray, r: int) -> np.ndarray:
+    """Matrix of Phi on row-major vec inputs: sum_rho E_rho (x) conj(F_rho), by ``np.kron``."""
+    n, m = QZ.shape[0], QW.shape[0]
+    M = np.zeros((n * m, n * m), dtype=complex)
+    for rho in range(r):
+        G = QZ[:, rho * n : (rho + 1) * n]
+        H = QW[:, rho * m : (rho + 1) * m]
+        M += np.kron(G, H.conj())
+    return M
+
+
+def kron_sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of T -> A0 (T (x) I_c) A0^* on row-major vec inputs, by ``np.kron``."""
+    c = A0.shape[1] // n
+    out = np.zeros((A0.shape[0] ** 2, n * n), dtype=complex)
+    for q in range(c):
+        blockcol = A0[:, q * n : (q + 1) * n]
+        out += np.kron(blockcol, blockcol.conj())
+    return out
+
+
+def einsum_state_maps(col, QZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q0(Z) (x) I_X) A^(n)`` and ``(Q0(Z) (x) I_X) B^(n)`` by one ``einsum`` per block."""
+    K, n = QZ.shape[0], QZ.shape[1]
+    X, u, r = col.dimX, col.dimU, col.r
+    E = QZ.reshape(K, n, r, n)
+    G = np.einsum("kirj,rvx->kivjx", E, col.A.reshape(r, X, X)).reshape(K, n * X, n * X)
+    B = np.einsum("kirj,rvu->kivuj", E, col.B.reshape(r, X, u)).reshape(K, n * X, u * n)
+    return G, B

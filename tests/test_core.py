@@ -14,6 +14,7 @@ from ncpick.core import (
     _eval_poly,
     _eval_poly_stack,
     _homogeneous_parts_stack,
+    _operator_norms,
     check_intertwining,
     direct_sum,
     eval_nc_poly,
@@ -201,6 +202,30 @@ class TestOperatorNorm:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             operator_norm(np.array([[np.inf]]))
+
+    @given(K=st.integers(2, 64), small=st.sampled_from([1, 2, 3, 4]), extra=st.integers(0, 4),
+           tall=st.booleans(), zeros=st.integers(0, 2), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_stacked_gram_route_matches_svd(self, K, small, extra, tall, zeros, seed):
+        # sides of 1, 2 (closed forms) and >= 3 (eigvalsh), tall and wide,
+        # each matrix at its own scale between 1e-150 and 1e150, and some
+        # exact zero matrices
+        rng = np.random.default_rng(seed)
+        a, b = (small + extra, small) if tall else (small, small + extra)
+        M = rng.standard_normal((K, a, b)) + 1j * rng.standard_normal((K, a, b))
+        M *= 10.0 ** rng.uniform(-150, 150, K)[:, None, None]
+        M[rng.choice(K, size=min(zeros, K), replace=False)] = 0.0
+        want = np.linalg.svd(M, compute_uv=False)[:, 0]
+        got = _operator_norms(M)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * max(a, b) * want)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (5, 1, 1), (5, 2, 2), (5, 4, 3)])
+    def test_stacked_nonfinite_rejected(self, bad, shape):
+        M = np.ones(shape, dtype=complex)
+        M[-1, 0, -1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _operator_norms(M)
 
 
 class TestDomain:

@@ -112,12 +112,12 @@ class TestPickCertificate:
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_one_node_evaluation_and_norm(self, monkeypatch):
-        # the Stein solve evaluates Q0(Z0) once and checks its norm once
+        # the problem's domain check evaluates Q0(Z0) once and checks its norm
+        # once; the certificate reuses that value
         Q, Z0, S0 = random_value_problem(2, 3, 1, 1, 0.9, seed=4)
-        p = PickProblem(Q, Z0, np.eye(3), S0)
         evals = count_calls(monkeypatch, core, "_eval_poly")
         norms = count_calls(monkeypatch, core, "operator_norm")
-        pick_certificate(p)
+        pick_certificate(PickProblem(Q, Z0, np.eye(3), S0))
         assert (len(evals), len(norms)) == (1, 1)
 
     def test_verdict_invariance_under_row_rotation(self, rng):
@@ -247,6 +247,27 @@ class TestMultiPoint:
 
 
 class TestSolvePick:
+    def test_zero_tangential_rows_rejected(self, rng):
+        # with dimE = 0 the D family has no columns, so both entry points
+        # reject the data before certifying it
+        Q = NcMatrixPolynomial.row_pencil(2)
+        Z0 = sample_in_domain(Q, 2, rng, 0.5)
+        A0, B0 = np.zeros((0, 2)), np.zeros((0, 2))
+        with pytest.raises(core.DimensionMismatchError, match="dimE"):
+            PickProblem(Q, Z0, A0, B0)
+        with pytest.raises(core.DimensionMismatchError, match="dimE"):
+            lurking_isometry_synthesize(Q, Z0, A0, B0)
+
+    def test_no_kronecker_products(self, monkeypatch, rng):
+        # the vec-matrices, the D family and the state maps are einsum/matmul
+        Q = NcMatrixPolynomial.row_pencil(2)
+        Z0 = sample_in_domain(Q, 2, rng, 0.5)
+        col = random_contractive_colligation(2, 1, 1, 2, seed=7)
+        p = PickProblem(Q, Z0, np.eye(2), 0.9 * transfer_eval(RealizedFunction(col, Q), Z0))
+        krons = count_calls(monkeypatch, np, "kron")
+        assert solve_pick(p, samples=8).feasible
+        assert krons == []
+
     def test_feasible_scalar_end_to_end(self):
         rep = solve_pick(scalar_problem(0.5, 0.9), samples=20)
         assert rep.feasible
@@ -334,8 +355,8 @@ class TestSolvePick:
             assert resid <= 1e-13
 
     def test_synthesis_evaluates_the_node_once(self, monkeypatch, rng):
-        # the D family and the interpolation residual share one Q0(Z0); the
-        # only norms are the colligation's own contractivity checks
+        # the D family and the interpolation residual reuse the problem's
+        # Q0(Z0), and the colligation's norm is taken once
         Q = NcMatrixPolynomial.row_pencil(2)
         Z0 = sample_in_domain(Q, 2, rng, 0.5)
         col = random_contractive_colligation(2, 1, 1, 2, seed=7)
@@ -353,7 +374,7 @@ class TestSolvePick:
         monkeypatch.setattr(interpolation, "_synthesize", counting)
         rep = solve_pick(p)
         assert rep.feasible and rep.interp_residual <= 1e-9
-        assert seen == [(1, 2)]
+        assert seen == [(0, 1)]
 
 
 def contractivity_q0(kind, d, rng):

@@ -17,10 +17,15 @@ from ncpick.kernels import (
     szego_kernel_solve,
     szego_map_matrix,
 )
-from ncpick.sampling import random_row_poly, sample_in_domain
+from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
-from conftest import count_calls, mt, phi_map, scalar_point, szego_kernel_series, \
-    szego_tail_bound
+from conftest import count_calls, kron_phi_matrix, kron_sandwich_matrix, mt, phi_map, \
+    scalar_point, szego_kernel_series, szego_tail_bound
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want), initial=0.0)) / max(
+        float(np.max(np.abs(want), initial=0.0)), 1e-300)
 
 
 class TestPsdCheck:
@@ -164,6 +169,34 @@ class TestPhiMap:
         Z = MatrixTuple.zeros(2, 1)
         with pytest.raises(ValueError):
             phi_map(Q, Z, Z, np.eye(1))
+
+
+class TestVecMatrices:
+    @given(r=st.integers(1, 3), n=st.integers(1, 4), m=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_phi_matrix_matches_kron_oracle(self, r, n, m, seed):
+        if m == n:
+            m = n % 4 + 1
+        rng = np.random.default_rng(seed)
+        QZ, QW = complex_gaussian(rng, (n, r * n)), complex_gaussian(rng, (m, r * m))
+        want = kron_phi_matrix(QZ, QW, r)
+        assert _rel_err(kernels._phi_matrix(QZ, QW, r), want) <= 1e-14
+
+    @given(c=st.integers(1, 3), e=st.integers(1, 3), n=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_sandwich_matrix_matches_kron_oracle(self, c, e, n, seed):
+        A0 = complex_gaussian(np.random.default_rng(seed), (e * n, c * n))
+        want = kron_sandwich_matrix(A0, n)
+        assert _rel_err(kernels._sandwich_matrix(A0, n), want) <= 1e-14
+
+    def test_cp_check_makes_no_kronecker_product(self, monkeypatch, rng):
+        Q = random_row_poly(rng, 2, r=2, degree=2, terms=3)
+        pts = [sample_in_domain(Q, lev, rng, 0.6) for lev in (1, 2, 3)]
+        krons = count_calls(monkeypatch, np, "kron")
+        assert cp_check_finite(Q, pts)[0].is_psd
+        assert krons == []
 
 
 class TestSzegoKernel:

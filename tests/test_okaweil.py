@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpick import core, okaweil, realization
+from ncpick import core
 from ncpick.core import DomainError, NcMatrixPolynomial, Word, _eval_poly
 from ncpick.okaweil import (
     TruncationReport,
@@ -81,10 +81,7 @@ class TestPartialSums:
         Q = NcMatrixPolynomial.row_pencil(2)
         f = RealizedFunction(random_contractive_colligation(2, 1, 1, 2, seed=3), Q)
         Z = sample_in_domain(Q, 2, rng, 0.5)
-        calls = []
-        for mod in (core, okaweil, realization):
-            monkeypatch.setattr(mod, "_eval_poly",
-                                lambda *a: calls.append(1) or _eval_poly(*a))
+        calls = count_calls(monkeypatch, core, "_eval_poly")
         transfer_eval(f, Z)
         partial_sum_eval(f, Z, 4)
         assert len(calls) == 2

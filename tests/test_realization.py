@@ -17,6 +17,7 @@ from ncpick.realization import (
     SVD_RANK_TOL,
     Colligation,
     RealizedFunction,
+    _state_maps,
     amplify,
     colligation_contraction_check,
     lurking_isometry_synthesize,
@@ -25,7 +26,7 @@ from ncpick.realization import (
 )
 from ncpick.sampling import complex_gaussian, sample_in_domain
 
-from conftest import mt, scalar_point
+from conftest import einsum_state_maps, mt, scalar_point
 
 
 def mobius_colligation(a: float) -> Colligation:
@@ -59,6 +60,18 @@ class TestAmplify:
 
 
 class TestTransferEval:
+    @given(K=st.integers(1, 4), n=st.integers(1, 3), r=st.integers(1, 3),
+           X=st.sampled_from([0, 1, 2, 5]), u=st.integers(1, 2), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_state_maps_match_einsum_oracle(self, K, n, r, X, u, seed):
+        rng = np.random.default_rng(seed)
+        col = random_contractive_colligation(X, u, 1, r, seed=seed)
+        QZ = complex_gaussian(rng, (K, n, r * n))
+        for got, want in zip(_state_maps(col, QZ), einsum_state_maps(col, QZ)):
+            assert got.shape == want.shape
+            scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+
     def test_constant_colligation(self, rng):
         D = rng.standard_normal((2, 3))
         col = Colligation(0, 3, 2, 2, np.zeros((0, 0)), np.zeros((0, 3)),
