@@ -176,7 +176,7 @@ def _cmd_pick_check(args) -> int:
 
 def _cmd_pick_solve(args) -> int:
     p = _decode_pick(_read_input(args))
-    rep = solve_pick(p, tol=args.tol, samples=args.samples, seed=args.seed, rel_tol=args.tol)
+    rep = solve_pick(p, tol=args.tol, samples=args.samples, seed=args.seed)
     out = {
         "verdict": rep.certificate.verdict,
         "min_eig": float(rep.certificate.min_eig),

@@ -191,6 +191,8 @@ def similarity_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[Mat
         raise ValueError("need at least one generator")
     if max_multiplicity is None:
         max_multiplicity = Ztilde.n
+    if max_multiplicity < 1:
+        raise ValueError("max_multiplicity must be at least 1")
     rng = np.random.default_rng(seed)
     for combo in _candidate_multisets(len(generators), max_multiplicity):
         Z = direct_sum_many([generators[i] for i in combo])

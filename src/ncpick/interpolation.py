@@ -27,12 +27,12 @@ from .core import (
     DomainError,
     MatrixTuple,
     NcMatrixPolynomial,
+    _eval_in_domain,
     _eval_poly,
     _eval_word,
     _operator_norms,
     amp,
     direct_sum_many,
-    in_domain,
     operator_norm,
     rep_diag,
     word_transpose,
@@ -40,12 +40,12 @@ from .core import (
 from .kernels import (
     PSD_REL_TOL,
     ChoiMatrix,
+    PickProblem,
     PsdCertificate,
     _certified_factor,
-    _dbr_choi_at,
-    dbr_choi,
+    _dbr_choi,
+    _stein_solve,
     psd_check,
-    szego_kernel_solve,
 )
 from .okaweil import extract_nc_polynomial
 from .realization import (
@@ -73,57 +73,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PickProblem:
-    """Single-point left-tangential data A0 S(Z0) = B0 over the disk of Q0.
-
-    A0 has shape (e n) x (y n) and B0 has shape (e n) x (u n) in the
-    coefficient-major layout, where n is the level of Z0.
-    """
-
-    Q0: NcMatrixPolynomial
-    Z0: MatrixTuple
-    A0: np.ndarray
-    B0: np.ndarray
-    # Q0(Z0), evaluated once by the domain check and reused by every stage
-    _QZ0: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        A0 = np.array(self.A0, dtype=complex)
-        B0 = np.array(self.B0, dtype=complex)
-        n = self.Z0.n
-        if A0.ndim != 2 or B0.ndim != 2 or A0.shape[0] != B0.shape[0]:
-            raise DimensionMismatchError("A0 and B0 must share their row space")
-        if A0.shape[0] == 0:
-            raise DimensionMismatchError("tangential data needs at least one row (dimE >= 1)")
-        if A0.shape[0] % n or A0.shape[1] % n or B0.shape[1] % n:
-            raise DimensionMismatchError("tangential data must be over the level of Z0")
-        QZ0 = _eval_poly(self.Q0, self.Z0)
-        if not operator_norm(QZ0) < 1.0:
-            raise DomainError("interpolation node lies outside the disk of Q0")
-        for a in (A0, B0, QZ0):
-            a.setflags(write=False)
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "B0", B0)
-        object.__setattr__(self, "_QZ0", QZ0)
-
-    @property
-    def n(self) -> int:
-        return self.Z0.n
-
-    @property
-    def dimE(self) -> int:
-        return self.A0.shape[0] // self.n
-
-    @property
-    def dimY(self) -> int:
-        return self.A0.shape[1] // self.n
-
-    @property
-    def dimU(self) -> int:
-        return self.B0.shape[1] // self.n
-
-
-@dataclass(frozen=True)
 class LtoaProblem:
     """Left-tangential operator-argument data over the noncommutative ball.
 
@@ -134,6 +83,8 @@ class LtoaProblem:
     Z0: MatrixTuple
     X: np.ndarray
     Y: np.ndarray
+    # the row-pencil value [Z_1 ... Z_d], evaluated once by the domain check
+    _row: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         X = np.array(self.X, dtype=complex)
@@ -141,13 +92,12 @@ class LtoaProblem:
         n = self.Z0.n
         if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != n or Y.shape[0] != n:
             raise DimensionMismatchError("tangential rows must equal the level of Z0")
-        row = NcMatrixPolynomial.row_pencil(self.Z0.d)
-        if not in_domain(row, self.Z0):
-            raise DomainError("node lies outside the noncommutative ball")
-        X.setflags(write=False)
-        Y.setflags(write=False)
+        row = _eval_in_domain(NcMatrixPolynomial.row_pencil(self.Z0.d), self.Z0)
+        for a in (X, Y, row):
+            a.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "_row", row)
 
 
 def multi_point_to_single(problems: Sequence[PickProblem]) -> PickProblem:
@@ -195,7 +145,7 @@ def pick_certificate(p: PickProblem,
     positivity.  ``min_eig`` is the node-level margin: a k-fold repeated
     node would only scale the spectrum by k and add zeros.
     """
-    choi = _dbr_choi_at(p.Q0, p._QZ0, p.A0, p.B0)
+    choi = _dbr_choi(p)
     return psd_check(choi.matrix, rel_tol=rel_tol), choi
 
 
@@ -217,21 +167,22 @@ class SolveReport:
 
 def solve_pick(p: PickProblem, tol: float = 1e-9,
                samples: int = 100, sample_levels: Sequence[int] = (1, 2),
-               seed: int = 0, rel_tol: float = PSD_REL_TOL) -> SolveReport:
+               seed: int = 0) -> SolveReport:
     """Certify, synthesize, and verify a single-point tangential problem.
 
-    One Choi matrix and one ``eigh`` of it give the certificate and, on a
-    PSD verdict, the Kolmogorov factor for the lurking-isometry synthesis, which
+    One Choi matrix and one ``eigh`` of it give the certificate, with its
+    dead band at ``tol`` (as ``pick_certificate(p, tol)``), and, on a PSD
+    verdict, the Kolmogorov factor for the lurking-isometry synthesis, which
     reports the interpolation residual ||A0 S(Z0) - B0||, and contractivity
     is spot-checked on seeded in-domain samples: the
     ``samples // len(sample_levels)`` points of each level are drawn,
     scaled and evaluated as one stack, with Q0 evaluated once per point.
     Infeasible problems return the certificate with ``feasible=False``.
     """
-    cert, factor = _certified_factor(_dbr_choi_at(p.Q0, p._QZ0, p.A0, p.B0), rel_tol)
+    cert, factor = _certified_factor(_dbr_choi(p), tol)
     if factor is None:
         return SolveReport(False, cert)
-    col, diag = _synthesize(p.Q0, p._QZ0, p.A0, p.B0, factor, cert, tol=tol)
+    col, diag = _synthesize(p, factor, cert, tol, "zero")
     rng = np.random.default_rng(seed)
     per_level = max(1, samples // max(1, len(sample_levels)))
     norms: list[float] = []
@@ -298,11 +249,11 @@ def ltoa_certificate(p: LtoaProblem, rel_tol: float = PSD_REL_TOL) -> PsdCertifi
     """Solvability test: PSD of T with T - sum_i Z_i T Z_i^* = X X^* - Y Y^*.
 
     The infinite word sum collapses to the exact Stein fixed point, solved
-    through the row-pencil Szego kernel.
+    from the row-pencil value the problem's domain check computed.
     """
-    row = NcMatrixPolynomial.row_pencil(p.Z0.d)
+    n = p.Z0.n
     rhs = p.X @ p.X.conj().T - p.Y @ p.Y.conj().T
-    T = szego_kernel_solve(row, p.Z0, p.Z0, rhs)
+    T = _stein_solve(p._row, p._row, p.Z0.d, rhs.reshape(-1)).reshape(n, n)
     return psd_check(T, rel_tol=rel_tol)
 
 
@@ -312,15 +263,13 @@ def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0
 
     Certifies complete positivity of P -> k(P) (x) I_Y - L (k(P) (x) I_U) L^*
     by one PSD test on its Choi matrix at the node's own level n, which is
-    equivalent to the value dominating the node in the Stein sense.
-    ``min_eig`` is the node-level margin.
+    equivalent to the value dominating the node in the Stein sense.  That
+    map is the de Branges-Rovnyak map of ``PickProblem(Q0, Z0, I, Lambda0)``,
+    which validates the data.  ``min_eig`` is the node-level margin.
     """
     L0 = np.asarray(Lambda0, dtype=complex)
-    n = Z0.n
-    if L0.shape[0] % n or L0.shape[1] % n:
-        raise DimensionMismatchError("value must be over the level of Z0")
-    choi = dbr_choi(Q0, Z0, np.eye(L0.shape[0], dtype=complex), L0)
-    return psd_check(choi.matrix, rel_tol=rel_tol)
+    p = PickProblem(Q0, Z0, np.eye(L0.shape[0], dtype=complex), L0)
+    return psd_check(_dbr_choi(p).matrix, rel_tol=rel_tol)
 
 
 def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,

@@ -16,13 +16,20 @@ Kolmogorov factors certified by their own eigendecomposition, the finite
 complete-positivity test of the Szego kernel, and the de Branges-Rovnyak
 kernel used by the interpolation criteria.
 
+Single-node de Branges-Rovnyak data (Q0, Z0, A0, B0) lives in one place,
+``PickProblem``: its construction is the only validation of that data and
+the only evaluation of Q0(Z0).  From it, ``_dbr_map`` and ``_dbr_choi`` are
+the one route to the map and its Choi matrix; ``dbr_map_matrix``,
+``dbr_choi``, the Pick pipeline, the Stein-dominance test and the
+lurking-isometry synthesis all go through them.
+
 Everything here is pure and operates on immutable inputs; callers may
 parallelize across independent (Z, W, P) triples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +43,7 @@ from .core import (
 )
 
 __all__ = [
+    "PickProblem",
     "PsdCertificate",
     "ChoiMatrix",
     "KolmogorovFactor",
@@ -153,13 +161,13 @@ class KolmogorovFactor:
         return np.hstack(self.blocks)
 
 
-def _certified_factor(C: ChoiMatrix, psd_tol: float, rank_tol: float = KOLMOGOROV_RANK_TOL,
-                      ) -> tuple[PsdCertificate, KolmogorovFactor | None]:
+def _certified_factor(C: ChoiMatrix,
+                      psd_tol: float) -> tuple[PsdCertificate, KolmogorovFactor | None]:
     """PSD certificate of C and, on a ``psd`` verdict, its Kolmogorov factor.
 
     One ``eigh`` gives both: the verdict is ``psd_check``'s dead band at
-    ``psd_tol``, and the factor keeps the eigenvalues above ``rank_tol``
-    times the largest (none if that is not positive).
+    ``psd_tol``, and the factor keeps the eigenvalues above
+    ``KOLMOGOROV_RANK_TOL`` times the largest (none if that is not positive).
     """
     b = C.block_dim
     vals, vecs = np.linalg.eigh(_hermitian_part(C.matrix))
@@ -167,22 +175,21 @@ def _certified_factor(C: ChoiMatrix, psd_tol: float, rank_tol: float = KOLMOGORO
     cert = _certificate(lo, hi, psd_tol)
     if not cert.is_psd:
         return cert, None
-    keep = vals > rank_tol * max(cert.max_eig, 0.0)
+    keep = vals > KOLMOGOROV_RANK_TOL * max(cert.max_eig, 0.0)
     F = vecs[:, keep] * np.sqrt(vals[keep])
     return cert, KolmogorovFactor(F.shape[1], tuple(F[i * b : (i + 1) * b] for i in range(C.n)))
 
 
-def kolmogorov_factor(C: ChoiMatrix, rank_tol: float = KOLMOGOROV_RANK_TOL,
-                      psd_tol: float = PSD_REL_TOL) -> KolmogorovFactor:
+def kolmogorov_factor(C: ChoiMatrix, *, psd_tol: float = PSD_REL_TOL) -> KolmogorovFactor:
     """Factor a PSD Choi matrix as [B_i B_j^*] by truncated eigendecomposition.
 
-    Eigenvalues below ``rank_tol`` times the largest are dropped; the
-    retained rank is the state-space dimension of the induced Kolmogorov
+    Eigenvalues below ``KOLMOGOROV_RANK_TOL`` times the largest are dropped;
+    the retained rank is the state-space dimension of the induced Kolmogorov
     decomposition M(P) = H (P (x) I_X) H^*.  Wraps ``_certified_factor``,
     whose one ``eigh`` also gives the PSD test at ``psd_tol``; raises
     ``NotPsdError`` on a ``not_psd`` verdict.
     """
-    cert, factor = _certified_factor(C, psd_tol, rank_tol)
+    cert, factor = _certified_factor(C, psd_tol)
     if factor is None:
         raise NotPsdError(f"Choi matrix is not PSD (min eig {cert.min_eig:.3g})")
     return factor
@@ -300,13 +307,10 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
 def _sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
     """Matrix of T -> A0 (T (x) I_c) A0^* on row-major vectorized n x n inputs.
 
-    A0 is a coefficient-major value of shape (e n) x (c n); the result maps
-    vec(T) to vec of an (e n) x (e n) matrix.  With P_q the q-th block
-    column of A0 it is sum_q P_q (x) conj(P_q), one ``einsum`` over q.
+    A0 is a validated coefficient-major value of shape (e n) x (c n); the
+    result maps vec(T) to vec of an (e n) x (e n) matrix.  With P_q the q-th
+    block column of A0 it is sum_q P_q (x) conj(P_q), one ``einsum`` over q.
     """
-    A0 = np.asarray(A0, dtype=complex)
-    if A0.shape[1] % n:
-        raise DimensionMismatchError("value columns are not a multiple of the level")
     en, c = A0.shape[0], A0.shape[1] // n
     P = A0.reshape(en, c, n)
     return np.einsum("aqi,bqj->abij", P, P.conj()).reshape(en * en, n * n)
@@ -338,31 +342,75 @@ def dbr_kernel(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
     return aZ @ amp(k, y) @ aW.conj().T - bZ @ amp(k, u) @ bW.conj().T
 
 
-def _dbr_map_at(Q0: NcMatrixPolynomial, QZ: np.ndarray, A0, B0) -> np.ndarray:
-    """Matrix of the de Branges-Rovnyak map at a node, from its value QZ = Q0(Z).
+@dataclass(frozen=True)
+class PickProblem:
+    """Single-point left-tangential data A0 S(Z0) = B0 over the disk of Q0.
 
-    The caller has evaluated Q0(Z) and checked that it lies in the disk;
-    this is the one route from that value to the map matrix, for
-    ``dbr_map_matrix``, ``dbr_choi`` and the Pick pipeline.
+    A0 has shape (e n) x (y n) and B0 has shape (e n) x (u n) in the
+    coefficient-major layout, where n is the level of Z0.  Construction is
+    the one validation of single-node de Branges-Rovnyak data.
     """
-    _check_row_poly(Q0)
-    A0 = np.asarray(A0, dtype=complex)
-    B0 = np.asarray(B0, dtype=complex)
-    if A0.shape[0] != B0.shape[0]:
-        raise DimensionMismatchError("A0 and B0 must share the E row space")
-    n = QZ.shape[0]
-    K = _stein_solve(QZ, QZ, Q0.r, np.eye(n * n))
-    return (_sandwich_matrix(A0, n) - _sandwich_matrix(B0, n)) @ K
+
+    Q0: NcMatrixPolynomial
+    Z0: MatrixTuple
+    A0: np.ndarray
+    B0: np.ndarray
+    # Q0(Z0), evaluated once by the domain check and reused by every stage
+    _QZ0: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        A0 = np.array(self.A0, dtype=complex)
+        B0 = np.array(self.B0, dtype=complex)
+        n = self.Z0.n
+        if A0.ndim != 2 or B0.ndim != 2 or A0.shape[0] != B0.shape[0]:
+            raise DimensionMismatchError("A0 and B0 must share their row space")
+        if A0.shape[0] == 0:
+            raise DimensionMismatchError("tangential data needs at least one row (dimE >= 1)")
+        if A0.shape[0] % n or A0.shape[1] % n or B0.shape[1] % n:
+            raise DimensionMismatchError("tangential data must be over the level of Z0")
+        QZ0 = _eval_in_domain(self.Q0, self.Z0)
+        for a in (A0, B0, QZ0):
+            a.setflags(write=False)
+        object.__setattr__(self, "A0", A0)
+        object.__setattr__(self, "B0", B0)
+        object.__setattr__(self, "_QZ0", QZ0)
+
+    @property
+    def n(self) -> int:
+        return self.Z0.n
+
+    @property
+    def dimE(self) -> int:
+        return self.A0.shape[0] // self.n
+
+    @property
+    def dimY(self) -> int:
+        return self.A0.shape[1] // self.n
+
+    @property
+    def dimU(self) -> int:
+        return self.B0.shape[1] // self.n
 
 
-def _dbr_choi_at(Q0: NcMatrixPolynomial, QZ: np.ndarray, A0, B0) -> ChoiMatrix:
-    """Choi matrix of the de Branges-Rovnyak map at a node, from QZ = Q0(Z)."""
-    return map_matrix_to_choi(_dbr_map_at(Q0, QZ, A0, B0), QZ.shape[0], np.shape(A0)[0])
+def _dbr_map(p: PickProblem) -> np.ndarray:
+    """Matrix of the de Branges-Rovnyak map at the node, on vec inputs.
+
+    The one route from validated data to the map: the Stein solve runs on
+    the problem's own Q0(Z0).
+    """
+    _check_row_poly(p.Q0)
+    K = _stein_solve(p._QZ0, p._QZ0, p.Q0.r, np.eye(p.n * p.n))
+    return (_sandwich_matrix(p.A0, p.n) - _sandwich_matrix(p.B0, p.n)) @ K
+
+
+def _dbr_choi(p: PickProblem) -> ChoiMatrix:
+    """Choi matrix of the de Branges-Rovnyak map: n x n blocks of side e n."""
+    return map_matrix_to_choi(_dbr_map(p), p.n, p.A0.shape[0])
 
 
 def dbr_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> np.ndarray:
     """Matrix of P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on vec inputs."""
-    return _dbr_map_at(Q0, _eval_in_domain(Q0, Z), A0, B0)
+    return _dbr_map(PickProblem(Q0, Z, A0, B0))
 
 
 def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
@@ -371,7 +419,7 @@ def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
     The map is P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on n x n inputs;
     its Choi matrix has n x n blocks of side (e n), the row dimension of A0.
     """
-    return _dbr_choi_at(Q0, _eval_in_domain(Q0, Z), A0, B0)
+    return _dbr_choi(PickProblem(Q0, Z, A0, B0))
 
 
 def _choi_reshuffle(Mmat: np.ndarray, in_shape: tuple[int, int],

@@ -8,9 +8,10 @@ polynomial Q0,
 
 is a noncommutative function on the disk of Q0, contractive whenever U is.
 ``lurking_isometry_synthesize`` runs the construction in the opposite
-direction: from feasible single-point tangential data it factors the
-de Branges-Rovnyak Choi matrix and reads a contractive colligation off the
-Gram-equal vector families.
+direction: from feasible single-point tangential data, validated once as a
+``kernels.PickProblem``, it factors the de Branges-Rovnyak Choi matrix and
+reads a contractive colligation off the Gram-equal vector families.  One
+``tol`` sets both the PSD dead band of that Choi matrix and the Gram check.
 
 Level-n operators use these layouts (all coefficient-major elsewhere):
 state space at level n is C^n (x) X (point index outer), the tensor slot
@@ -41,13 +42,13 @@ from .core import (
     operator_norm,
 )
 from .kernels import (
-    KOLMOGOROV_RANK_TOL,
     PSD_REL_TOL,
     KolmogorovFactor,
     NotPsdError,
+    PickProblem,
     PsdCertificate,
     _certified_factor,
-    _dbr_choi_at,
+    _dbr_choi,
     psd_check,
 )
 
@@ -310,10 +311,7 @@ def _unitary_completion(Q1: np.ndarray, images: np.ndarray, X: int, u: int, y: i
 
 
 def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
-                                tol: float = 1e-9,
-                                psd_tol: float = PSD_REL_TOL,
-                                rank_tol: float = KOLMOGOROV_RANK_TOL,
-                                completion: str = "zero",
+                                tol: float = 1e-9, *, completion: str = "zero",
                                 ) -> tuple[Colligation, SynthesisDiagnostics]:
     """Build a contractive colligation solving a0 S(Z0) = b0 from feasible data.
 
@@ -326,7 +324,8 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     over coordinate rows i and basis vectors e of E^n, verify their Gram
     matrices agree, and map an orthonormal basis of span D through the
     correspondence D -> R.  The adjoint of the resulting operator is the
-    colligation.
+    colligation.  One ``tol`` is both the dead band of the PSD verdict and
+    the scale of the Gram check.
 
     ``completion`` selects the extension on the orthogonal complement of
     span D: ``"zero"`` (default) keeps the state dimension minimal and
@@ -334,46 +333,36 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     defect spaces match and extends by a unitary between them, when the
     block shapes allow it (ValueError otherwise).
 
-    Raises ``DimensionMismatchError`` when the data has no rows (dimE = 0),
-    ``DomainError`` when Z0 lies outside the disk of Q0, ``NotPsdError``
-    when the data is infeasible and ``SynthesisConsistencyError`` on a Gram
-    mismatch beyond 100 * tol.
+    The data is validated by ``PickProblem``, which raises
+    ``DimensionMismatchError`` on malformed tangential data and
+    ``DomainError`` when Z0 lies outside the disk of Q0.  Raises
+    ``NotPsdError`` when the data is infeasible and
+    ``SynthesisConsistencyError`` on a Gram mismatch beyond 100 * tol.
     """
     if completion not in ("zero", "unitary"):
         raise ValueError("completion must be 'zero' or 'unitary'")
-    a0 = np.asarray(a0, dtype=complex)
-    b0 = np.asarray(b0, dtype=complex)
-    n = Z0.n
-    if a0.shape[0] != b0.shape[0] or a0.shape[0] % n or a0.shape[1] % n or b0.shape[1] % n:
-        raise DimensionMismatchError("tangential data must be over the level of Z0")
-    if a0.shape[0] == 0:
-        raise DimensionMismatchError("tangential data needs at least one row (dimE >= 1)")
-    QZ0 = _eval_in_domain(Q0, Z0)
-    cert, factor = _certified_factor(_dbr_choi_at(Q0, QZ0, a0, b0), psd_tol, rank_tol)
+    p = PickProblem(Q0, Z0, a0, b0)
+    cert, factor = _certified_factor(_dbr_choi(p), tol)
     if factor is None:
         raise NotPsdError(
             f"de Branges-Rovnyak Choi matrix is not PSD (min eig {cert.min_eig:.3g})"
         )
-    return _synthesize(Q0, QZ0, a0, b0, factor, cert, tol=tol, completion=completion)
+    return _synthesize(p, factor, cert, tol, completion)
 
 
-def _synthesize(Q0: NcMatrixPolynomial, QZ0: np.ndarray, a0: np.ndarray, b0: np.ndarray,
-                factor: KolmogorovFactor, cert: PsdCertificate, tol: float,
-                completion: str = "zero") -> tuple[Colligation, SynthesisDiagnostics]:
+def _synthesize(p: PickProblem, factor: KolmogorovFactor, cert: PsdCertificate, tol: float,
+                completion: str) -> tuple[Colligation, SynthesisDiagnostics]:
     """Body of ``lurking_isometry_synthesize`` on validated data.
 
-    ``QZ0`` is the node value Q0(Z0), already checked to lie in the disk,
-    and ``factor`` and ``cert`` come from ``kernels._certified_factor``'s
-    one ``eigh`` of the de Branges-Rovnyak Choi matrix built from it.  The
-    D family's top rows are one ``einsum`` of Q0(Z0)^* with the factor.  One
-    thin SVD of the D family is the rank-revealing step: it gives the
-    orthonormal basis of span D and, with the R family, the lurking isometry.
+    The data and its node value Q0(Z0) come from the problem ``p``, and
+    ``factor`` and ``cert`` from ``kernels._certified_factor``'s one
+    ``eigh`` of its de Branges-Rovnyak Choi matrix.  The D family's top
+    rows are one ``einsum`` of Q0(Z0)^* with the factor.  One thin SVD of
+    the D family is the rank-revealing step: it gives the orthonormal basis
+    of span D and, with the R family, the lurking isometry.
     """
-    n = QZ0.shape[0]
-    e_dim = a0.shape[0] // n
-    y = a0.shape[1] // n
-    u = b0.shape[1] // n
-    r = Q0.r
+    QZ0, a0, b0 = p._QZ0, p.A0, p.B0
+    n, e_dim, y, u, r = p.n, p.dimE, p.dimY, p.dimU, p.Q0.r
     X = factor.rank
     H = factor.stacked  # (e n) x (n X), domain C^n (x) X
 

@@ -1,5 +1,6 @@
 """Public names resolve, and the traced benchmark still finds what it wraps."""
 
+import ast
 import importlib
 import pkgutil
 import types
@@ -10,6 +11,7 @@ import pytest
 import ncpick
 
 MODULES = ["ncpick"] + [f"ncpick.{m.name}" for m in pkgutil.iter_modules(ncpick.__path__)]
+PACKAGE = Path(ncpick.__file__).resolve().parent
 
 
 def load_tracing() -> types.ModuleType:
@@ -34,3 +36,36 @@ def test_traced_names_exist():
                for fname in names
                if not callable(getattr(importlib.import_module(f"ncpick.{layer}"), fname, None))]
     assert missing == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``__all__`` entries count as reads)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in getattr(node.value, "elts", ())
+                     if isinstance(elt, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_detected():
+    assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == [
+        "d (line 2)", "os (line 1)"]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    # __init__.py is exempt: its imports are the package's re-exports
+    assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []

@@ -253,6 +253,17 @@ class TestOtherCommands:
         code, doc, _ = run_cli(["envelope"], payload, capsys, monkeypatch)
         assert code == 0 and doc["member"] is True
 
+    @pytest.mark.parametrize("kind", ["full", "similarity"])
+    @pytest.mark.parametrize("bound", ["0", "-2"])
+    def test_envelope_multiplicity_bound_is_an_error(self, capsys, monkeypatch, kind, bound):
+        Z = encode_tuple(mt(np.array([[0.5]])))
+        payload = {"Ztilde": Z, "generators": [Z], "kind": kind}
+        code, doc, _ = run_cli(["envelope", "--max-multiplicity", bound], payload,
+                               capsys, monkeypatch)
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError",
+                                "message": "max_multiplicity must be at least 1"}
+
     def test_cp_check(self, capsys, monkeypatch):
         payload = {
             "Q0": Z_POLY,

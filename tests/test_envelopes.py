@@ -118,6 +118,15 @@ class TestSimilarityEnvelope:
         assert similarity_envelope_membership(Z, [Z]) is not None
 
 
+@pytest.mark.parametrize("search", [full_envelope_membership, similarity_envelope_membership])
+@pytest.mark.parametrize("bound", [0, -2])
+def test_multiplicity_bound_validated(search, bound):
+    # an empty search would answer "not a member"; both searches refuse it
+    Z = mt(np.array([[0.5]]))
+    with pytest.raises(ValueError, match="max_multiplicity must be at least 1"):
+        search(Z, [Z], max_multiplicity=bound)
+
+
 class TestIntertwinerSpace:
     def test_zero_vs_one_only_trivial(self):
         basis = intertwiner_space(mt(np.zeros((1, 1))), mt(np.ones((1, 1))))

@@ -246,6 +246,52 @@ class TestMultiPoint:
             assert cert.is_psd == bool(classical >= -1e-9)
 
 
+def _malformed_entry_points(Q, Z0, A0, B0, stein):
+    """Every entry point that takes single-node de Branges-Rovnyak data; the
+    Stein-dominance test only where A0 is the identity it builds itself."""
+    calls = {
+        "PickProblem": lambda: PickProblem(Q, Z0, A0, B0),
+        "lurking_isometry_synthesize": lambda: lurking_isometry_synthesize(Q, Z0, A0, B0),
+        "dbr_choi": lambda: kernels.dbr_choi(Q, Z0, A0, B0),
+        "dbr_map_matrix": lambda: kernels.dbr_map_matrix(Q, Z0, A0, B0),
+    }
+    if stein:
+        calls["stein_dominance_certificate"] = lambda: stein_dominance_certificate(Q, Z0, B0)
+    return calls
+
+
+# (node scale, A0, B0, the Stein test applies, error type, message) at level 2;
+# the row-pencil value of the node has norm 0.67 times its scale
+MALFORMED = {
+    "rows_not_multiple_of_n": (0.5, np.eye(3), np.ones((3, 2)), True,
+                               core.DimensionMismatchError,
+                               "tangential data must be over the level of Z0"),
+    "row_mismatch": (0.5, np.eye(2), np.ones((4, 2)), False, core.DimensionMismatchError,
+                     "A0 and B0 must share their row space"),
+    "dimE_zero": (0.5, np.eye(0), np.zeros((0, 2)), True, core.DimensionMismatchError,
+                  "tangential data needs at least one row (dimE >= 1)"),
+    "columns_not_multiple_of_n": (0.5, np.eye(2), np.ones((2, 3)), True,
+                                  core.DimensionMismatchError,
+                                  "tangential data must be over the level of Z0"),
+    "node_outside_disk": (2.0, np.eye(2), 0.5 * np.eye(2), True, core.DomainError,
+                          "point lies outside the disk of Q0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_data_rejected_alike(case):
+    # PickProblem is the one validator: every entry point raises its error
+    scale, A0, B0, stein, error, message = MALFORMED[case]
+    Q = NcMatrixPolynomial.row_pencil(2)
+    Z0 = mt(scale * np.diag([0.6, -0.6]), scale * np.array([[0.0, 0.3], [0.0, 0.0]]))
+    seen = {}
+    for name, call in _malformed_entry_points(Q, Z0, A0, B0, stein).items():
+        with pytest.raises(Exception) as info:
+            call()
+        seen[name] = (type(info.value), str(info.value))
+    assert seen == dict.fromkeys(seen, (error, message))
+
+
 class TestSolvePick:
     def test_zero_tangential_rows_rejected(self, rng):
         # with dimE = 0 the D family has no columns, so both entry points
@@ -314,7 +360,8 @@ class TestSolvePick:
            seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_certificate_matches_pick_certificate(self, d, n, e, y, u, feasible, seed):
-        # solve_pick reads its verdict off eigh, pick_certificate off eigvalsh
+        # solve_pick reads its verdict off eigh, pick_certificate off eigvalsh,
+        # both with the dead band of the one tol, across the legal range
         rng = np.random.default_rng(seed)
         Q = NcMatrixPolynomial.row_pencil(d)
         Z0 = sample_in_domain(Q, n, rng, 0.5)
@@ -329,13 +376,15 @@ class TestSolvePick:
             G = complex_gaussian(rng, (e * n, u * n))
             B0 = 2.0 * np.linalg.norm(A0) / np.linalg.norm(G) * G
         p = PickProblem(Q, Z0, A0, B0)
-        got = solve_pick(p, samples=2).certificate
-        want, _ = pick_certificate(p)
-        assert got.is_psd == feasible
-        assert (got.verdict, got.marginal) == (want.verdict, want.marginal)
-        band = 1e-12 * max(1.0, want.max_eig)
-        assert abs(got.min_eig - want.min_eig) <= band
-        assert abs(got.max_eig - want.max_eig) <= band
+        for tol in (1e-12, 1e-9, 1e-6):
+            got = solve_pick(p, tol=tol, samples=2).certificate
+            want, _ = pick_certificate(p, tol)
+            assert got.rel_tol == want.rel_tol == tol
+            assert got.is_psd == feasible
+            assert (got.verdict, got.marginal) == (want.verdict, want.marginal)
+            band = 1e-12 * max(1.0, want.max_eig)
+            assert abs(got.min_eig - want.min_eig) <= band
+            assert abs(got.max_eig - want.max_eig) <= band
 
     @pytest.mark.parametrize("y", [1, 2])
     def test_zero_state_synthesis(self, rng, y):
@@ -559,6 +608,20 @@ class TestLtoaCertificate:
         Z0 = sample_in_domain(Q, 2, rng, 0.6)
         p = LtoaProblem(Z0, np.zeros((2, 1)), np.ones((2, 1)))
         assert not ltoa_certificate(p).is_psd
+
+    def test_one_node_evaluation_and_norm(self, monkeypatch, rng):
+        # the certificate solves from the row-pencil value the domain check kept
+        Q = NcMatrixPolynomial.row_pencil(2)
+        Z0 = sample_in_domain(Q, 2, rng, 0.6)
+        X = rng.standard_normal((2, 2))
+        evals = count_calls(monkeypatch, core, "_eval_poly")
+        norms = count_calls(monkeypatch, core, "operator_norm")
+        assert ltoa_certificate(LtoaProblem(Z0, X, 0.5 * X)).is_psd
+        assert (len(evals), len(norms)) == (1, 1)
+
+    def test_node_outside_ball_raises(self):
+        with pytest.raises(core.DomainError, match="outside the disk"):
+            LtoaProblem(scalar_point(1.5), np.eye(1), np.eye(1))
 
 
 class TestSteinDominance:
