@@ -297,17 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for name, value in (("tol", args.tol), ("samples", args.samples),
-                        ("truncation_L", args.truncation_L)):
-        if value is not None and name != "tol" and value < 0:
-            print(f"error: --{name} must be nonnegative", file=sys.stderr)
-            return EXIT_ERROR
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_ERROR
     try:
+        for name in ("samples", "truncation_L"):
+            if getattr(args, name) < 0:
+                raise ValueError(f"--{name} must be nonnegative")
+        if not 0.0 < args.tol < np.inf:
+            raise ValueError("--tol must be positive and finite")
         return _COMMANDS[args.command](args)
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError,
+            OSError) as exc:
         sys.stdout.write(json.dumps(
             {"v": SCHEMA_VERSION, "error": {"type": type(exc).__name__, "message": str(exc)}},
             sort_keys=True, separators=(",", ":")) + "\n")

@@ -10,9 +10,10 @@ certified by one PSD test on its Choi matrix at the node's own level n
 (Choi's theorem).  Infeasible problems return certificates, never
 exceptions; the CLI turns them into exit codes.
 
-All series over the free semigroup are computed as exact Stein-equation
-fixed points; word enumeration appears only in test oracles and in the
-finite LTOA sums.
+All series over the free semigroup are computed exactly: kernel series as
+Stein-equation fixed points, LTOA sums from one value of S (for a realized
+S, one transfer-function solve); word enumeration appears only in test
+oracles.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ from .core import (
     NcMatrixPolynomial,
     _eval_in_domain,
     _eval_poly,
-    _eval_word,
     _operator_norms,
     amp,
     direct_sum_many,
     operator_norm,
     rep_diag,
-    word_transpose,
 )
 from .kernels import (
     PSD_REL_TOL,
@@ -47,7 +46,6 @@ from .kernels import (
     _stein_solve,
     psd_check,
 )
-from .okaweil import extract_nc_polynomial
 from .realization import (
     Colligation,
     RealizedFunction,
@@ -199,50 +197,51 @@ def solve_pick(p: PickProblem, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 
-def _ltoa_sum(S_poly: NcMatrixPolynomial, Z0: MatrixTuple, X: np.ndarray,
-              transpose_words: bool) -> np.ndarray:
-    y, u = S_poly.s, S_poly.r
-    if X.shape != (Z0.n, y):
-        raise DimensionMismatchError("tangential direction must map Y into C^n")
-    out = np.zeros((Z0.n, u), dtype=complex)
-    for w, coeff in S_poly.terms.items():
-        word = word_transpose(w) if transpose_words else w
-        out += _eval_word(Z0, word) @ X @ coeff
-    return out
+def _ltoa_sum(S, Z0: MatrixTuple, X, twisted: bool) -> np.ndarray:
+    """The LTOA sum, contracted from one value V of S viewed as (dimY, n, dimU, n).
 
-
-def _coerce_ltoa_operand(S, Z0: MatrixTuple, trunc_tol: float) -> NcMatrixPolynomial:
-    if isinstance(S, NcMatrixPolynomial):
-        return S
-    if isinstance(S, RealizedFunction):
-        row = NcMatrixPolynomial.row_pencil(Z0.d)
-        rho = operator_norm(_eval_poly(row, Z0))
-        if rho >= 1.0:
-            raise DomainError("no geometric tail bound outside the ball")
-        col = S.colligation
-        lead = max(operator_norm(col.C) * operator_norm(col.B), 1e-300)
-        L = 0
-        while lead * rho ** (L + 1) / (1.0 - rho) > trunc_tol:
-            L += 1
-        return extract_nc_polynomial(S, L)
-    raise TypeError("S must be a polynomial or a realized function")
-
-
-def ltoa_eval(S, Z0: MatrixTuple, X, trunc_tol: float = 1e-10) -> np.ndarray:
-    """Left-tangential operator-argument evaluation sum_w Z0^(w^T) X S_w.
-
-    For a realized ``S`` (contractive colligation) the coefficients are
-    extracted up to the degree at which the geometric tail falls below
-    ``trunc_tol``; for a polynomial the sum is exact.
+    V[y, i, u, j] = sum_w (S_w)[y, u] (W^w)[i, j], so the twisted sum reads V
+    at W = Z0; as Z0^(w^T) = ((Z0^T)^w)^T, the untwisted sum reads V at
+    W = Z0^T = (Z_1^T, ..., Z_d^T) with the point indices swapped.  A realized
+    S needs ||Q0(Z0)|| < 1 (twisted) or ||Q0^T(Z0)|| < 1, Q0^T reversing each
+    word of Q0: Q0^T(Z0) is Q0(Z0^T) with the point indices swapped, and its
+    norm bounds the spectral radius of the state map at Z0^T.
     """
     X = np.asarray(X, dtype=complex)
-    return _ltoa_sum(_coerce_ltoa_operand(S, Z0, trunc_tol), Z0, X, transpose_words=True)
+    n = Z0.n
+    W = Z0 if twisted else MatrixTuple(tuple(c.T for c in Z0.components))
+    if isinstance(S, NcMatrixPolynomial):
+        V = _eval_poly(S, W)
+    elif isinstance(S, RealizedFunction):
+        QW = _eval_poly(S.Q0, W)
+        checked = QW if twisted else QW.reshape(n, S.Q0.r, n).transpose(2, 1, 0).reshape(n, -1)
+        if not operator_norm(checked) < 1.0:
+            raise DomainError("point lies outside the LTOA domain of Q0")
+        V = _transfer_stack(S.colligation, QW[None])[0]
+    else:
+        raise TypeError("S must be a polynomial or a realized function")
+    y, u = V.shape[0] // n, V.shape[1] // n
+    if X.shape != (n, y):
+        raise DimensionMismatchError("tangential direction must map Y into C^n")
+    return np.einsum("jy,yiuj->iu" if twisted else "jy,yjui->iu", X, V.reshape(y, n, u, n))
 
 
-def twisted_ltoa_eval(S, Z0: MatrixTuple, X, trunc_tol: float = 1e-10) -> np.ndarray:
-    """Twisted variant sum_w Z0^w X S_w (words not reversed)."""
-    X = np.asarray(X, dtype=complex)
-    return _ltoa_sum(_coerce_ltoa_operand(S, Z0, trunc_tol), Z0, X, transpose_words=False)
+def ltoa_eval(S, Z0: MatrixTuple, X) -> np.ndarray:
+    """Left-tangential operator-argument evaluation sum_w Z0^(w^T) X S_w.
+
+    Exact for a polynomial or a realized ``S`` (contractive colligation), from
+    the one value S(Z0^T); a realized ``S`` raises ``DomainError`` unless
+    ||Q0^T(Z0)|| < 1 (for the row pencil, ||[Z_1 ... Z_d]|| < 1).
+    """
+    return _ltoa_sum(S, Z0, X, twisted=False)
+
+
+def twisted_ltoa_eval(S, Z0: MatrixTuple, X) -> np.ndarray:
+    """Twisted variant sum_w Z0^w X S_w (words not reversed), from the one value S(Z0).
+
+    A realized ``S`` raises ``DomainError`` unless ||Q0(Z0)|| < 1.
+    """
+    return _ltoa_sum(S, Z0, X, twisted=True)
 
 
 def ltoa_certificate(p: LtoaProblem, rel_tol: float = PSD_REL_TOL) -> PsdCertificate:

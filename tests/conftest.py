@@ -184,3 +184,18 @@ def einsum_state_maps(col, QZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     G = np.einsum("kirj,rvx->kivjx", E, col.A.reshape(r, X, X)).reshape(K, n * X, n * X)
     B = np.einsum("kirj,rvu->kivuj", E, col.B.reshape(r, X, u)).reshape(K, n * X, u * n)
     return G, B
+
+
+# The LTOA word sum, an oracle for the one-value evaluation in ``interpolation``
+
+
+def ltoa_word_sum(S, Z0: MatrixTuple, X, twisted: bool) -> np.ndarray:
+    """sum_w Z0**w X S_w (twisted) or sum_w Z0**(w^T) X S_w over the words of a polynomial S."""
+    X = np.asarray(X, dtype=complex)
+    out = np.zeros((Z0.n, S.r), dtype=complex)
+    for w, coeff in S.terms.items():
+        Zw = np.eye(Z0.n, dtype=complex)
+        for k in w.letters if twisted else w.letters[::-1]:
+            Zw = Zw @ Z0.components[k - 1]
+        out += Zw @ X @ coeff
+    return out

@@ -313,6 +313,34 @@ class TestErrors:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "-inf", "0"])
+    @pytest.mark.parametrize("command, payload", [
+        # the Pick matrix of the node 0.5 is 1 / (1 - 0.25) = 1.33
+        ("cp-check", {"Q0": Z_POLY, "points": [encode_tuple(scalar_point(0.5))]}),
+        ("pick-solve", {"Q0": Z_POLY, "Z0": encode_tuple(scalar_point(0.5)),
+                        "A0": encode_matrix(np.eye(1)), "B0": encode_matrix(0.9 * np.eye(1))}),
+    ])
+    def test_tol_outside_the_positive_reals_rejected(self, capsys, monkeypatch, command,
+                                                     payload, tol):
+        code, _, out = run_cli([command, f"--tol={tol}"], payload, capsys, monkeypatch)
+        assert code == 2
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert doc["error"] == {"type": "ValueError",
+                                "message": "--tol must be positive and finite"}
+
+    @pytest.mark.parametrize("text", [
+        # an integer literal beyond the float range as a matrix entry
+        json.dumps({"Q": Z_POLY, "Z": {"d": 1, "n": 1, "components": [[[[10**400, 0]]]]}}),
+        # a float literal that overflows to infinity as a variable count
+        json.dumps({"Q": {**Z_POLY, "d": "D"}, "Z": encode_tuple(scalar_point(0.5))})
+        .replace('"D"', "1e400"),
+    ], ids=["entry-beyond-float-range", "variable-count-1e400"])
+    def test_overflow_while_decoding_exit_two(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(["eval"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["error"]["type"] == "OverflowError"
+
     def test_params_echoed(self, capsys, monkeypatch):
         payload = {"Q": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
         _, doc, _ = run_cli(["domain-check", "--tol", "1e-8", "--seed", "7"],

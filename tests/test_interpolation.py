@@ -10,6 +10,7 @@ from ncpick import core, interpolation, kernels, sampling
 from ncpick.core import (
     NcMatrixPolynomial,
     Word,
+    _eval_poly,
     _eval_word,
     direct_sum_many,
     operator_norm,
@@ -29,6 +30,7 @@ from ncpick.interpolation import (
     twisted_ltoa_eval,
 )
 from ncpick.kernels import NotPsdError
+from ncpick.okaweil import extract_nc_polynomial
 from ncpick.realization import (
     RealizedFunction,
     lurking_isometry_synthesize,
@@ -37,7 +39,15 @@ from ncpick.realization import (
 )
 from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
-from conftest import amplified_transfer, count_calls, kron_eval_poly, mt, scalar_point
+from conftest import (
+    amplified_partial_sum,
+    amplified_transfer,
+    count_calls,
+    kron_eval_poly,
+    ltoa_word_sum,
+    mt,
+    scalar_point,
+)
 
 
 def classical_pick_matrix(zs, lams):
@@ -564,28 +574,108 @@ class TestLtoa:
         assert np.array_equal(a, b)
 
     def test_realized_function_matches_polynomial_d1(self, rng):
-        from ncpick.okaweil import extract_nc_polynomial
-
         Q = NcMatrixPolynomial.scalar_univariate([0, 1])
         col = random_contractive_colligation(2, 1, 1, 1, seed=9)
         f = RealizedFunction(col, Q)
         Z0 = mt(0.4 * rng.standard_normal((2, 2)))
         X = rng.standard_normal((2, 1))
-        got = ltoa_eval(f, Z0, X, trunc_tol=1e-12)
+        got = ltoa_eval(f, Z0, X)
         want = ltoa_eval(extract_nc_polynomial(f, 80), Z0, X)
-        assert np.linalg.norm(got - want) <= 1e-10
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_realized_function_matches_polynomial_d2(self, rng):
-        from ncpick.okaweil import extract_nc_polynomial
-
         Q = NcMatrixPolynomial.row_pencil(2)
         col = random_contractive_colligation(2, 1, 1, 2, seed=9)
         f = RealizedFunction(col, Q)
         Z0 = sample_in_domain(Q, 2, rng, 0.15)
         X = rng.standard_normal((2, 1))
-        got = ltoa_eval(f, Z0, X, trunc_tol=1e-8)
+        got = ltoa_eval(f, Z0, X)
         want = ltoa_eval(extract_nc_polynomial(f, 10), Z0, X)
-        assert np.linalg.norm(got - want) <= 1e-7
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @given(d=st.integers(1, 3), n=st.integers(1, 3), y=st.integers(1, 2), u=st.integers(1, 2),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_polynomial_matches_word_sum(self, d, n, y, u, seed):
+        rng = np.random.default_rng(seed)
+        words = itertools.chain.from_iterable(
+            itertools.product(range(1, d + 1), repeat=k) for k in range(4))
+        S = NcMatrixPolynomial(d, y, u, {Word(w, d): complex_gaussian(rng, (y, u))
+                                         for w in words if rng.random() < 0.7})
+        Z0 = mt(*(0.5 * complex_gaussian(rng, (n, n)) for _ in range(d)))
+        X = complex_gaussian(rng, (n, y))
+        for ev, twisted in ((ltoa_eval, False), (twisted_ltoa_eval, True)):
+            got, want = ev(S, Z0, X), ltoa_word_sum(S, Z0, X, twisted)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    # the expansion to depth L forms d**(L + 2) words in its last step, so the
+    # radius shrinks with d to keep the a-priori tail rho**(L + 1) / (1 - rho)
+    # below 1e-14 within the default word cap; larger radii are checked
+    # against closed forms in test_realized_near_the_boundary
+    ORACLE_RADIUS_DEPTH = {1: (0.1, 15), 2: (0.025, 8), 3: (0.004, 5)}
+
+    @given(d=st.integers(1, 3), n=st.integers(1, 3), dimX=st.sampled_from([1, 3]),
+           y=st.integers(1, 2), u=st.integers(1, 2), seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_realized_matches_word_sum_of_expansion(self, d, n, dimX, y, u, seed):
+        rng = np.random.default_rng(seed)
+        radius, L = self.ORACLE_RADIUS_DEPTH[d]
+        Q = NcMatrixPolynomial.row_pencil(d)
+        f = RealizedFunction(random_contractive_colligation(dimX, u, y, d, seed=seed), Q)
+        Z0 = sample_in_domain(Q, n, rng, radius)
+        X = complex_gaussian(rng, (n, y))
+        S = extract_nc_polynomial(f, L)
+        for ev, twisted in ((ltoa_eval, False), (twisted_ltoa_eval, True)):
+            got, want = ev(f, Z0, X), ltoa_word_sum(S, Z0, X, twisted)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("radius", [0.15, 0.5, 0.9])
+    def test_realized_near_the_boundary(self, rng, d, radius):
+        # word expansions deep enough for these radii exceed any word cap;
+        # untwisted: X D + sum_rho Z_rho H B_rho with H - sum_rho Z_rho H A_rho = X C,
+        # twisted: a deep Neumann partial sum through the amplified colligation
+        n, dimX, u, y = 3, 3, 2, 2
+        Q = NcMatrixPolynomial.row_pencil(d)
+        col = random_contractive_colligation(dimX, u, y, d, seed=d)
+        f = RealizedFunction(col, Q)
+        Z0 = sample_in_domain(Q, n, rng, radius)
+        X = complex_gaussian(rng, (n, y))
+        row = _eval_poly(Q, Z0)
+        A, B = col.A.reshape(d, dimX, dimX), col.B.reshape(d, dimX, u)
+        A_adj = np.hstack([a.conj().T for a in A])
+        H = kernels._stein_solve(row, A_adj, d, (X @ col.C).reshape(-1)).reshape(n, dimX)
+        want = X @ col.D + sum(Z @ H @ b for Z, b in zip(Z0.components, B))
+        got = ltoa_eval(f, Z0, X)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        V = amplified_partial_sum(col, row, 600).reshape(y, n, u, n)
+        want = np.einsum("jy,yiuj->iu", X, V)
+        got = twisted_ltoa_eval(f, Z0, X)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_realized_outside_the_disk_raises(self):
+        f = RealizedFunction(random_contractive_colligation(2, 1, 1, 1, seed=0),
+                             NcMatrixPolynomial.scalar_univariate([0, 3]))
+        x = np.array([[0.7]])
+        z = scalar_point(0.3)
+        want = x * transfer_eval(f, z)
+        assert np.allclose(ltoa_eval(f, z, x), want, rtol=1e-14, atol=0)
+        assert np.allclose(twisted_ltoa_eval(f, z, x), want, rtol=1e-14, atol=0)
+        for ev in (ltoa_eval, twisted_ltoa_eval):
+            with pytest.raises(core.DomainError):
+                ev(f, scalar_point(0.4), x)
+
+    def test_realized_domains_follow_word_order(self):
+        # Q0 = z1 z2: ||Q0(Z0)|| = ||Z1 Z2|| = 2 but Q0 with reversed words
+        # gives Z2 Z1 = 0, so only the untwisted sum is defined, and it is X D
+        Q = NcMatrixPolynomial(2, 1, 1, {Word((1, 2), 2): np.eye(1)})
+        col = random_contractive_colligation(2, 1, 1, 1, seed=3)
+        f = RealizedFunction(col, Q)
+        Z0 = mt(2.0 * np.array([[0, 1], [0, 0]]), np.array([[0, 0], [0, 1]]))
+        X = np.array([[1.0], [0.5]])
+        assert np.allclose(ltoa_eval(f, Z0, X), X @ col.D, rtol=1e-14, atol=0)
+        with pytest.raises(core.DomainError):
+            twisted_ltoa_eval(f, Z0, X)
 
 
 class TestLtoaCertificate:
