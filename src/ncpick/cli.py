@@ -123,14 +123,11 @@ def _cmd_envelope(args) -> int:
     Zt = decode_tuple(obj["Ztilde"])
     gens = [decode_tuple(g) for g in obj["generators"]]
     kind = obj.get("kind", "full")
-    if kind == "full":
-        w = full_envelope_membership(Zt, gens, max_multiplicity=args.max_multiplicity,
-                                     seed=args.seed)
-    elif kind == "similarity":
-        w = similarity_envelope_membership(Zt, gens, max_multiplicity=args.max_multiplicity,
-                                           seed=args.seed)
-    else:
+    searches = {"full": full_envelope_membership, "similarity": similarity_envelope_membership}
+    search = searches.get(kind) if isinstance(kind, str) else None
+    if search is None:
         raise ValueError(f"unknown envelope kind {kind!r}")
+    w = search(Zt, gens, max_multiplicity=args.max_multiplicity, seed=args.seed)
     _emit({"member": w is not None, "witness": encode_witness(w) if w else None},
           _params(args))
     return EXIT_OK if w is not None else EXIT_NEGATIVE

@@ -43,6 +43,9 @@ __all__ = [
 #: Condition-number bound beyond which a similarity transform is rejected.
 SIMILARITY_COND_BOUND = 1e12
 
+#: Absolute (tuples) and norm-relative (values) tolerance of ``check_intertwining``.
+INTERTWINING_TOL = 1e-9
+
 
 class DimensionMismatchError(ValueError):
     """Shapes or variable counts of the operands do not line up."""
@@ -390,11 +393,9 @@ def domain_margin(Q: NcMatrixPolynomial, Z: MatrixTuple) -> float:
     return 1.0 - operator_norm(_eval_poly(Q, Z))
 
 
-def in_domain(Q: NcMatrixPolynomial, Z: MatrixTuple, margin: bool = False):
-    """Whether ||Q(Z)|| < 1, optionally together with the margin 1 - ||Q(Z)||."""
-    m = domain_margin(Q, Z)
-    ok = bool(m > 0.0)
-    return (ok, m) if margin else ok
+def in_domain(Q: NcMatrixPolynomial, Z: MatrixTuple) -> bool:
+    """Whether ||Q(Z)|| < 1; ``domain_margin`` gives the margin itself."""
+    return bool(domain_margin(Q, Z) > 0.0)
 
 
 def _eval_in_domain(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
@@ -407,37 +408,35 @@ def _eval_in_domain(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
 
 def direct_sum(Z: MatrixTuple, W: MatrixTuple) -> MatrixTuple:
     """Componentwise block-diagonal tuple at level n + m."""
-    if Z.d != W.d:
-        raise DimensionMismatchError("tuples have different variable counts")
-    comps = []
-    for A, B in zip(Z.components, W.components):
-        C = np.zeros((Z.n + W.n, Z.n + W.n), dtype=complex)
-        C[: Z.n, : Z.n] = A
-        C[Z.n :, Z.n :] = B
-        comps.append(C)
-    return MatrixTuple(tuple(comps))
+    return direct_sum_many([Z, W])
 
 
 def direct_sum_many(points: Sequence[MatrixTuple]) -> MatrixTuple:
+    """Componentwise block-diagonal tuple of the points, in order."""
     if not points:
         raise ValueError("empty direct sum")
-    out = points[0]
-    for Z in points[1:]:
-        out = direct_sum(out, Z)
-    return out
+    if any(P.d != points[0].d for P in points):
+        raise DimensionMismatchError("tuples have different variable counts")
+    N = sum(P.n for P in points)
+    comps = np.zeros((points[0].d, N, N), dtype=complex)
+    offset = 0
+    for P in points:
+        comps[:, offset : offset + P.n, offset : offset + P.n] = P.components
+        offset += P.n
+    return MatrixTuple(tuple(comps))
 
 
-def similarity(Z: MatrixTuple, alpha, cond_bound: float = SIMILARITY_COND_BOUND) -> MatrixTuple:
+def similarity(Z: MatrixTuple, alpha) -> MatrixTuple:
     """Conjugated tuple (alpha Z_1 alpha^-1, ..., alpha Z_d alpha^-1).
 
     alpha must be square of the tuple's level with condition number below
-    ``cond_bound``.
+    ``SIMILARITY_COND_BOUND``.
     """
     a = np.asarray(alpha, dtype=complex)
     if a.shape != (Z.n, Z.n):
         raise DimensionMismatchError("similarity matrix has the wrong size")
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_bound:
+    if not np.isfinite(cond) or cond > SIMILARITY_COND_BOUND:
         raise ValueError(f"similarity matrix is singular or ill-conditioned (cond={cond:.3g})")
     ainv = np.linalg.inv(a)
     return MatrixTuple(tuple(a @ c @ ainv for c in Z.components))
@@ -456,13 +455,13 @@ class IntertwiningReport:
         return self.hypothesis_met and self.values_intertwine
 
 
-def check_intertwining(Z: MatrixTuple, Ztilde: MatrixTuple, alpha, V, Vtilde,
-                       tol: float = 1e-9) -> IntertwiningReport:
+def check_intertwining(Z: MatrixTuple, Ztilde: MatrixTuple, alpha, V,
+                       Vtilde) -> IntertwiningReport:
     """Test the necessary condition for V = f(Z), Vtilde = f(Ztilde).
 
     Checks ``alpha Z_k = Ztilde_k alpha`` for all k and, on the values,
     ``(alpha (x) I) V = Vtilde (alpha (x) I)`` in the coefficient-major
-    layout; both up to ``tol``.
+    layout; both up to ``INTERTWINING_TOL`` (the values relative to their norms).
     """
     if Z.d != Ztilde.d:
         raise DimensionMismatchError("tuples have different variable counts")
@@ -485,8 +484,8 @@ def check_intertwining(Z: MatrixTuple, Ztilde: MatrixTuple, alpha, V, Vtilde,
     value_resid = float(np.linalg.norm(left - right, 2))
     scale = max(1.0, float(np.linalg.norm(V, 2)), float(np.linalg.norm(Vt, 2)))
     return IntertwiningReport(
-        hypothesis_met=tuple_resid <= tol,
-        values_intertwine=value_resid <= tol * scale,
+        hypothesis_met=tuple_resid <= INTERTWINING_TOL,
+        values_intertwine=value_resid <= INTERTWINING_TOL * scale,
         tuple_residual=tuple_resid,
         value_residual=value_resid,
     )
@@ -516,11 +515,7 @@ def rep_diag(V: np.ndarray, k: int, coeff_rows: int, coeff_cols: int) -> np.ndar
     V = np.asarray(V, dtype=complex)
     n = V.shape[0] // coeff_rows
     m = V.shape[1] // coeff_cols
-    out = np.zeros((coeff_rows * k * n, coeff_cols * k * m), dtype=complex)
     blocks = V.reshape(coeff_rows, n, coeff_cols, m)
-    for p in range(coeff_rows):
-        for q in range(coeff_cols):
-            out[
-                p * k * n : (p + 1) * k * n, q * k * m : (q + 1) * k * m
-            ] = np.kron(np.eye(k), blocks[p, :, q, :])
-    return out
+    # entry (p, a, i; q, b, j) is delta_ab V_pq[i, j], multiplied out as np.kron does
+    out = np.eye(k)[None, :, None, None, :, None] * blocks[:, None, :, :, None, :]
+    return out.reshape(coeff_rows * k * n, coeff_cols * k * m)

@@ -43,6 +43,15 @@ __all__ = [
 #: Random combinations drawn when hunting for an injective nullspace element.
 INJECTIVITY_TRIALS = 20
 
+#: Smallest singular value a full-envelope witness must exceed (injectivity).
+INJECTIVITY_TOL = 1e-8
+
+#: Largest condition number a similarity-envelope witness may have.
+WITNESS_COND_BOUND = 1e10
+
+#: Relative singular-value threshold for the intertwiner nullspace.
+INTERTWINER_NULL_TOL = 1e-10
+
 #: Default absolute eigenvalue clustering tolerance.
 CLUSTER_TOL = 1e-8
 
@@ -102,14 +111,10 @@ def nc_envelope_point(generators: Sequence[MatrixTuple],
         parts.extend([Z] * m)
     if not parts:
         raise ValueError("empty selection")
-    d = parts[0].d
-    if any(Z.d != d for Z in parts):
-        raise DimensionMismatchError("generators over different variable counts")
     return direct_sum_many(parts)
 
 
-def intertwiner_space(Z: MatrixTuple, Ztilde: MatrixTuple,
-                      null_tol: float = 1e-10) -> list[np.ndarray]:
+def intertwiner_space(Z: MatrixTuple, Ztilde: MatrixTuple) -> list[np.ndarray]:
     """Basis of all I with I Ztilde_k = Z_k I, as level(Z) x level(Ztilde) blocks."""
     if Z.d != Ztilde.d:
         raise DimensionMismatchError("tuples over different variable counts")
@@ -120,7 +125,7 @@ def intertwiner_space(Z: MatrixTuple, Ztilde: MatrixTuple,
     sys = np.vstack(rows)
     _, svals, Vh = np.linalg.svd(sys)
     top = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > null_tol * max(top, 1.0)))
+    rank = int(np.sum(svals > INTERTWINER_NULL_TOL * max(top, 1.0)))
     null = Vh[rank:].conj()
     return [v.reshape(n, m) for v in null]
 
@@ -147,16 +152,14 @@ def _verify_witness(Z: MatrixTuple, Ztilde: MatrixTuple, I: np.ndarray,
         raise AssertionError("witness is not injective at the rank tolerance")
 
 
-def full_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
-                             max_multiplicity: int | None = None,
-                             rank_tol: float = 1e-8,
-                             trials: int = INJECTIVITY_TRIALS,
-                             seed: int = 0) -> EnvelopeWitness | None:
-    """Search for a left injective intertwiner from a generator direct sum.
+def _envelope_search(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
+                     max_multiplicity: int | None, seed: int,
+                     kind: str) -> EnvelopeWitness | None:
+    """Both envelope searches: ``INJECTIVITY_TRIALS`` random intertwiners per multiset.
 
-    Absence is a normal return; it is conclusive only up to the
-    multiplicity bound (default: the level of Ztilde, which suffices for
-    one variable).
+    A similarity witness is square with condition number at most
+    ``WITNESS_COND_BOUND``; a left injective one has level(Z) >= level(Ztilde)
+    and smallest singular value above ``INJECTIVITY_TOL``.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -164,51 +167,48 @@ def full_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTup
         max_multiplicity = Ztilde.n
     if max_multiplicity < 1:
         raise ValueError("max_multiplicity must be at least 1")
+    square = kind == "similarity"
     rng = np.random.default_rng(seed)
     for combo in _candidate_multisets(len(generators), max_multiplicity):
         Z = direct_sum_many([generators[i] for i in combo])
-        if Z.n < Ztilde.n:
+        if Z.n < Ztilde.n or (square and Z.n != Ztilde.n):
             continue
         basis = intertwiner_space(Z, Ztilde)
         if not basis:
             continue
-        for _ in range(trials):
+        for _ in range(INJECTIVITY_TRIALS):
             I = _random_in_span(basis, rng)
-            if np.linalg.svd(I, compute_uv=False)[-1] > rank_tol:
-                mults = tuple(combo.count(i) for i in range(len(generators)))
-                _verify_witness(Z, Ztilde, I, rank_tol)
-                return EnvelopeWitness("left-injective-intertwiner", mults, I)
+            svals = np.linalg.svd(I, compute_uv=False)
+            if square and svals[-1] > 0 and svals[0] / svals[-1] <= WITNESS_COND_BOUND:
+                rank_tol = 0.5 * svals[-1]
+            elif not square and svals[-1] > INJECTIVITY_TOL:
+                rank_tol = INJECTIVITY_TOL
+            else:
+                continue
+            _verify_witness(Z, Ztilde, I, rank_tol)
+            mults = tuple(combo.count(i) for i in range(len(generators)))
+            return EnvelopeWitness(kind, mults, I)
     return None
+
+
+def full_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
+                             max_multiplicity: int | None = None,
+                             seed: int = 0) -> EnvelopeWitness | None:
+    """Search for a left injective intertwiner from a generator direct sum.
+
+    Absence is a normal return; it is conclusive only up to the
+    multiplicity bound (default: the level of Ztilde, which suffices for
+    one variable).
+    """
+    return _envelope_search(Ztilde, generators, max_multiplicity, seed,
+                            "left-injective-intertwiner")
 
 
 def similarity_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
                                    max_multiplicity: int | None = None,
-                                   cond_bound: float = 1e10,
-                                   trials: int = INJECTIVITY_TRIALS,
                                    seed: int = 0) -> EnvelopeWitness | None:
     """Like full membership but demanding a square invertible intertwiner."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    if max_multiplicity is None:
-        max_multiplicity = Ztilde.n
-    if max_multiplicity < 1:
-        raise ValueError("max_multiplicity must be at least 1")
-    rng = np.random.default_rng(seed)
-    for combo in _candidate_multisets(len(generators), max_multiplicity):
-        Z = direct_sum_many([generators[i] for i in combo])
-        if Z.n != Ztilde.n:
-            continue
-        basis = intertwiner_space(Z, Ztilde)
-        if not basis:
-            continue
-        for _ in range(trials):
-            alpha = _random_in_span(basis, rng)
-            svals = np.linalg.svd(alpha, compute_uv=False)
-            if svals[-1] > 0 and svals[0] / svals[-1] <= cond_bound:
-                mults = tuple(combo.count(i) for i in range(len(generators)))
-                _verify_witness(Z, Ztilde, alpha, svals[-1] * 0.5)
-                return EnvelopeWitness("similarity", mults, alpha)
-    return None
+    return _envelope_search(Ztilde, generators, max_multiplicity, seed, "similarity")
 
 
 def _cluster(values: np.ndarray, tol: float) -> tuple[list[list[int]], bool]:

@@ -272,14 +272,15 @@ def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0
 
 
 def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
-                         delta: float, trials: int = 1000, seed: int = 0,
-                         tol: float = 1e-9) -> np.ndarray | None:
+                         delta: float, trials: int = 1000,
+                         seed: int = 0) -> np.ndarray | None:
     """Randomized search for a witness refuting strict-Stein dominance.
 
     Looks for a PSD P at the (n dimY)-fold amplification satisfying both
     hypotheses of the strict dominance condition at margin ``delta`` while
-    violating the conclusion beyond ``tol``.  Candidates are Gaussian Gram
-    matrices pushed toward the feasible slab by bisection along P + s I.
+    violating the conclusion beyond the dead band ``PSD_REL_TOL`` max(1, ||P||).
+    Candidates are Gaussian Gram matrices pushed toward the feasible slab by
+    bisection along P + s I.
     One-sided: returns the counterexample or None; absence proves nothing.
     """
     if not 0.0 < delta < 1.0:
@@ -318,9 +319,9 @@ def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
             cand = P0
         else:
             hi = 1.0
-            while hyp_margins(P0 + hi * eyeN) < -1e-12 and hi <= 1e6:
+            while (outside := hyp_margins(P0 + hi * eyeN) < -1e-12) and hi <= 1e6:
                 hi *= 2.0
-            if hyp_margins(P0 + hi * eyeN) < -1e-12:
+            if outside:
                 continue
             lo = 0.0
             for _ in range(60):
@@ -331,6 +332,6 @@ def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
                     hi = mid
             cand = P0 + hi * eyeN
         scale = max(1.0, float(np.linalg.norm(cand, 2)))
-        if violation(cand) < -tol * scale:
+        if violation(cand) < -PSD_REL_TOL * scale:
             return cand
     return None

@@ -293,7 +293,8 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
             support_choi[sq[a] : sq[a + 1], sq[b] : sq[b + 1]] = _choi_reshuffle(
                 K, (na, nb), (na, nb))
     support_choi = _hermitian_part(support_choi)
-    cert = psd_check(support_choi, rel_tol=rel_tol)
+    eigs = np.linalg.eigvalsh(support_choi)
+    cert = _certificate(float(eigs[0]), float(eigs[-1]), rel_tol)
     # support: Choi indices i * N + r with i and r in the same point's block,
     # in Choi order, which is also the pair-block order above
     offs = np.concatenate(([0], np.cumsum(levels))).astype(int)

@@ -28,9 +28,9 @@ from .core import (
 from .realization import (
     Colligation,
     RealizedFunction,
+    _output_map,
     _readout,
     _state_maps,
-    _transfer_stack,
 )
 
 __all__ = [
@@ -71,15 +71,12 @@ def _partial_sum_stack(col: Colligation, QZ: np.ndarray, L: int) -> np.ndarray:
     return _readout(col, acc, QZ.shape[1])
 
 
-def extract_nc_polynomial(f: RealizedFunction, L: int,
-                          coeff_tol: float = 0.0,
-                          word_cap: int = WORD_CAP) -> NcMatrixPolynomial:
+def extract_nc_polynomial(f: RealizedFunction, L: int) -> NcMatrixPolynomial:
     """Symbolic word expansion of the partial sum at truncation L.
 
-    Convolves the coefficient words of Q0 through the Neumann powers;
-    coefficients with norm at most ``coeff_tol`` are dropped.  Raises
-    ``WordCapExceededError`` when more than ``word_cap`` distinct words
-    would be produced.
+    Convolves the coefficient words of Q0 through the Neumann powers
+    G^0 K, ..., G^L K.  Raises ``WordCapExceededError`` when more than
+    ``WORD_CAP`` distinct words would be produced.
     """
     col, Q0 = f.colligation, f.Q0
     X, u, y, r = col.dimX, col.dimU, col.dimY, col.r
@@ -95,35 +92,26 @@ def extract_nc_polynomial(f: RealizedFunction, L: int,
         G_step[w] = np.einsum("r,rab->ab", row, A3)
         K_step[w] = np.einsum("r,rau->au", row, B3)
 
-    poly: dict[Word, np.ndarray] = {}
-
-    def add(w: Word, mat: np.ndarray) -> None:
-        if w in poly:
-            poly[w] = poly[w] + mat
+    def add(bucket: dict[Word, np.ndarray], w: Word, mat: np.ndarray) -> None:
+        if w in bucket:
+            bucket[w] = bucket[w] + mat
         else:
-            if len(poly) >= word_cap:
-                raise WordCapExceededError(f"expansion exceeds {word_cap} words")
-            poly[w] = mat.copy()
+            if len(bucket) >= WORD_CAP:
+                raise WordCapExceededError(f"expansion exceeds {WORD_CAP} words")
+            bucket[w] = mat
 
-    add(Word.empty(d), col.D.astype(complex))
-    term: dict[Word, np.ndarray] = dict(K_step)  # degree bucket: G^j K
-    for _ in range(L + 1):
+    poly: dict[Word, np.ndarray] = {Word.empty(d): col.D.astype(complex)}
+    term: dict[Word, np.ndarray] = dict(K_step)  # power bucket: G^j K
+    for j in range(L + 1):
         for w, mat in term.items():
-            add(w, col.C @ mat)
+            add(poly, w, col.C @ mat)
+        if j == L:
+            break  # G^(L+1) K is not part of the partial sum
         nxt: dict[Word, np.ndarray] = {}
         for w1, g in G_step.items():
             for w2, mat in term.items():
-                w = word_concat(w1, w2)
-                if w in nxt:
-                    nxt[w] = nxt[w] + g @ mat
-                else:
-                    if len(nxt) >= word_cap:
-                        raise WordCapExceededError(f"expansion exceeds {word_cap} words")
-                    nxt[w] = g @ mat
+                add(nxt, word_concat(w1, w2), g @ mat)
         term = nxt
-
-    if coeff_tol > 0.0:
-        poly = {w: c for w, c in poly.items() if np.linalg.norm(c) > coeff_tol}
     return NcMatrixPolynomial(d, y, u, poly)
 
 
@@ -151,7 +139,7 @@ class TruncationReport:
 
 def uniform_error_report(f: RealizedFunction, K_samples: Sequence[MatrixTuple],
                          L: int) -> TruncationReport:
-    """Compare partial sums against the exact transfer function on samples.
+    """Uniform error of the partial sum at L against the transfer function on samples.
 
     ``rho`` is the sampled surrogate max ||Q0(Z)|| over the given points,
     not a bound over any abstract compact set; all samples must satisfy
@@ -163,15 +151,20 @@ def uniform_error_report(f: RealizedFunction, K_samples: Sequence[MatrixTuple],
     col = f.colligation
     if operator_norm(col.A) > 1 + 1e-10:
         raise ValueError("the a-priori bound needs a contractive colligation")
-    # Q0 is evaluated and normed once per sample; both sums start from that value
+    # Q0 is evaluated and normed once per sample; the error is read off that value
     values = [_eval_poly(f.Q0, Z) for Z in K_samples]
     rho = max(operator_norm(QZ) for QZ in values)
     if rho >= 1.0:
         raise DomainError("a sample lies outside the strict subdomain")
-    errs = tuple(
-        float(np.linalg.norm(_transfer_stack(col, QZ[None])[0]
-                             - _partial_sum_stack(col, QZ[None], L)[0], 2))
-        for QZ in values
-    )
+    errs = []
+    for QZ in values:
+        # S(Z) minus the partial sum is the Neumann tail C^(n) G^(L+1) H with
+        # (I - G) H = K: one state solve, and no two O(1) values subtracted
+        G, H = _state_maps(col, QZ[None])
+        H = np.linalg.solve(np.eye(G.shape[1]) - G, H)
+        for _ in range(L + 1):
+            H = G @ H
+        errs.append(float(np.linalg.norm(_output_map(col, H, QZ.shape[0])[0], 2)))
     bound = operator_norm(col.C) * operator_norm(col.B) * rho ** (L + 1) / (1.0 - rho)
-    return TruncationReport(L, rho, errs, bound, max(errs))
+    return TruncationReport(L, rho, tuple(errs), bound, max(errs))
+

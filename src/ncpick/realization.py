@@ -42,7 +42,6 @@ from .core import (
     operator_norm,
 )
 from .kernels import (
-    PSD_REL_TOL,
     KolmogorovFactor,
     NotPsdError,
     PickProblem,
@@ -190,13 +189,18 @@ def _state_maps(col: Colligation, QZ: np.ndarray) -> tuple[np.ndarray, np.ndarra
             B.transpose(0, 1, 3, 4, 2).reshape(K, n * X, u * n))
 
 
-def _readout(col: Colligation, state: np.ndarray, n: int) -> np.ndarray:
-    """``D^(n) + C^(n) state`` for a stack of (n dimX) x (dimU n) state blocks."""
+def _output_map(col: Colligation, state: np.ndarray, n: int) -> np.ndarray:
+    """``C^(n) state`` for a stack of (n dimX) x (dimU n) state blocks."""
     K = state.shape[0]
     X, u, y = col.dimX, col.dimU, col.dimY
     out = np.einsum("yx,kixc->kyic", col.C, state.reshape(K, n, X, u * n))
+    return out.reshape(K, y * n, u * n)
+
+
+def _readout(col: Colligation, state: np.ndarray, n: int) -> np.ndarray:
+    """``D^(n) + C^(n) state`` for a stack of (n dimX) x (dimU n) state blocks."""
     Dn = col.D[:, None, :, None] * np.eye(n)[:, None, :]  # D (x) I_n, coefficient-major
-    return out.reshape(K, y * n, u * n) + Dn.reshape(y * n, u * n)
+    return _output_map(col, state, n) + Dn.reshape(col.dimY * n, col.dimU * n)
 
 
 def _transfer_stack(col: Colligation, QZ: np.ndarray) -> np.ndarray:
@@ -213,10 +217,10 @@ def _transfer_stack(col: Colligation, QZ: np.ndarray) -> np.ndarray:
     return _readout(col, np.linalg.solve(G, B), n)
 
 
-def colligation_contraction_check(col: Colligation, tol: float = PSD_REL_TOL) -> PsdCertificate:
-    """PSD certificate for I - U^* U."""
+def colligation_contraction_check(col: Colligation) -> PsdCertificate:
+    """PSD certificate for I - U^* U at the default dead band ``kernels.PSD_REL_TOL``."""
     U = col.as_matrix()
-    return psd_check(np.eye(U.shape[1]) - U.conj().T @ U, rel_tol=tol)
+    return psd_check(np.eye(U.shape[1]) - U.conj().T @ U)
 
 
 def random_contractive_colligation(dimX: int, dimU: int, dimY: int, r: int,

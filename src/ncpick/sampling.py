@@ -42,6 +42,9 @@ __all__ = [
 #: Largest scale factor tried before a direction counts as one where Q0 is constant.
 MAX_SCALE = 2.0**199
 
+#: Relative width of the final bisection bracket on the scale factor t.
+BISECT_TOL = 1e-12
+
 _EPS = float(np.finfo(float).eps)
 _AIM = 1.0 - 16 * _EPS
 
@@ -64,20 +67,20 @@ def random_tuple(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -
     return MatrixTuple(tuple(scale * _random_directions(rng, 1, d, n)[0]))
 
 
-def scale_into_domain(Q0: NcMatrixPolynomial, Z: MatrixTuple, target: float = 0.8,
-                      tol: float = 1e-12) -> MatrixTuple:
+def scale_into_domain(Q0: NcMatrixPolynomial, Z: MatrixTuple,
+                      target: float = 0.8) -> MatrixTuple:
     """Rescale a tuple so that ||Q0(t Z)|| is just below ``target``.
 
     Requires ||Q0(0)|| < target (the constant term must not already fill
     the disk) and some nonconstant term to be active at Z.  The returned
     point satisfies ||Q0(t Z)|| < target as ``_eval_poly`` computes it.
     """
-    Zs, _ = _scale_stack(Q0, _as_stack(Z), target, tol)
+    Zs, _ = _scale_stack(Q0, _as_stack(Z), target)
     return MatrixTuple(tuple(Zs[0]))
 
 
-def _scale_stack(Q0: NcMatrixPolynomial, Zs: np.ndarray, target: float,
-                 tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _scale_stack(Q0: NcMatrixPolynomial, Zs: np.ndarray,
+                 target: float) -> tuple[np.ndarray, np.ndarray]:
     """``scale_into_domain`` on a stack of K directions of shape (K, d, n, n).
 
     Returns the scaled stack and Q0 at each scaled point, shape
@@ -99,7 +102,7 @@ def _scale_stack(Q0: NcMatrixPolynomial, Zs: np.ndarray, target: float,
         t = np.full(h.shape, np.inf)
         t[h > 0] = (_AIM * target / h[h > 0]) ** (1.0 / k)
     elif any(k > 0 for k in parts):
-        t = _bisect_scale(parts, target, tol)
+        t = _bisect_scale(parts, target)
     else:
         t = np.full(Zs.shape[0], np.inf)
     if not np.all(t <= MAX_SCALE):
@@ -120,7 +123,7 @@ def _scale_stack(Q0: NcMatrixPolynomial, Zs: np.ndarray, target: float,
     return Zt, QZ
 
 
-def _bisect_scale(parts: dict[int, np.ndarray], target: float, tol: float) -> np.ndarray:
+def _bisect_scale(parts: dict[int, np.ndarray], target: float) -> np.ndarray:
     """Bisection for the t where ||sum_k t**k H_k|| reaches ``target``, per point.
 
     Returns the lower end of each final bracket, where the norm is below
@@ -143,7 +146,7 @@ def _bisect_scale(parts: dict[int, np.ndarray], target: float, tol: float) -> np
     lo = np.zeros(K)
     idx = np.flatnonzero(np.isfinite(hi))
     while True:
-        idx = idx[hi[idx] - lo[idx] > tol * np.maximum(1.0, hi[idx])]
+        idx = idx[hi[idx] - lo[idx] > BISECT_TOL * np.maximum(1.0, hi[idx])]
         if not idx.size:
             break
         mid = 0.5 * (lo[idx] + hi[idx])

@@ -2,8 +2,8 @@
 
 Complex scalars are ``[re, im]`` pairs, matrices are row-major nested
 arrays of those pairs.  Every decoder validates shapes and raises
-``ValueError`` on malformed payloads so the CLI can map them to its error
-exit code.
+``ValueError`` on malformed payloads, non-finite matrix entries included,
+so the CLI can map them to its error exit code.
 
 ``matrix_json`` writes a matrix straight to its compact JSON text, the
 bytes ``json`` gives for ``encode_matrix``; exact +0.0 entries and rows
@@ -127,6 +127,9 @@ def decode_matrix(obj) -> np.ndarray:
             if not (isinstance(z, list) and len(z) == 2):
                 raise ValueError("complex scalars are [re, im] pairs")
             out[i, j] = complex(float(z[0]), float(z[1]))
+    if not np.isfinite(out).all():
+        # Python's json reads NaN and Infinity, which no JSON answer may echo
+        raise ValueError("matrix entries must be finite")
     return out
 
 

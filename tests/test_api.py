@@ -1,7 +1,9 @@
-"""Public names resolve, and the traced benchmark still finds what it wraps."""
+"""Public names resolve, the traced benchmark still finds what it wraps, and
+the settable values of the public API are budgeted."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -36,6 +38,66 @@ def test_traced_names_exist():
                for fname in names
                if not callable(getattr(importlib.import_module(f"ncpick.{layer}"), fname, None))]
     assert missing == []
+
+
+# Every parameter with a default of a public callable (in ``ncpick.__all__`` or a
+# module's ``__all__``), keyed by defining module and name.  A setting no caller
+# sets belongs in a module constant; adding or removing one means editing this
+# table.  40 parameters (53 before the envelope, sampling, extraction, core,
+# realization and refuter tolerances became constants).
+DEFAULTED_PARAMETERS = {
+    "core.BlockMatrix": ("row_tag", "col_tag"),
+    "core.NcMatrixPolynomial": ("terms",),
+    "envelopes.JordanData": ("ambiguous",),
+    "envelopes.full_envelope_membership": ("max_multiplicity", "seed"),
+    "envelopes.jordan_spectral_data": ("cluster_tol",),
+    "envelopes.similarity_envelope_membership": ("max_multiplicity", "seed"),
+    "envelopes.zariski_membership_d1": ("cluster_tol",),
+    "interpolation.SolveReport": ("colligation", "interp_residual", "contractivity_samples",
+                                  "diagnostics"),
+    "interpolation.ltoa_certificate": ("rel_tol",),
+    "interpolation.pick_certificate": ("rel_tol",),
+    "interpolation.solve_pick": ("tol", "samples", "sample_levels", "seed"),
+    "interpolation.stein_dominance_certificate": ("rel_tol",),
+    "interpolation.strict_stein_refuter": ("trials", "seed"),
+    "kernels.PsdCertificate": ("marginal",),
+    "kernels.cp_check_finite": ("rel_tol",),
+    "kernels.kolmogorov_factor": ("psd_tol",),
+    "kernels.psd_check": ("rel_tol",),
+    "realization.Colligation": ("flags",),
+    "realization.SynthesisDiagnostics": ("interp_residual",),
+    "realization.lurking_isometry_synthesize": ("tol", "completion"),
+    "realization.random_contractive_colligation": ("seed", "unitary"),
+    "sampling.random_row_poly": ("degree", "terms", "include_constant", "scale"),
+    "sampling.random_tuple": ("scale",),
+    "sampling.sample_in_domain": ("target",),
+    "sampling.scale_into_domain": ("target",),
+}
+
+
+def defaulted_parameters() -> dict[str, tuple[str, ...]]:
+    found = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if not callable(obj):
+                continue
+            try:
+                sig = inspect.signature(obj)
+            except ValueError:  # exception classes keep the builtin constructor
+                continue
+            params = tuple(p.name for p in sig.parameters.values()
+                           if p.default is not inspect.Parameter.empty)
+            if params:
+                found[f"{obj.__module__.removeprefix('ncpick.')}.{obj.__qualname__}"] = params
+    return found
+
+
+def test_defaulted_parameters_match_the_budget():
+    found = defaulted_parameters()
+    assert found == DEFAULTED_PARAMETERS
+    assert sum(map(len, found.values())) == 40
 
 
 def unused_imports(source: str) -> list[str]:

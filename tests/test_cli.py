@@ -341,6 +341,21 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["error"]["type"] == "OverflowError"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command, payload", [
+        ("eval", {"Q": Z_POLY, "Z": {"d": 1, "n": 1, "components": [[[["X", 0.0]]]]}}),
+        ("pick-solve", {"Q0": Z_POLY, "Z0": encode_tuple(scalar_point(0.5)),
+                        "A0": encode_matrix(np.eye(1)), "B0": [[[0.9, "X"]]]}),
+    ])
+    def test_non_finite_entries_rejected(self, capsys, monkeypatch, command, payload, literal):
+        # Python's json reads these literals; the answer must still be strict JSON
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload).replace('"X"', literal)))
+        code = main([command])
+        out = capsys.readouterr().out
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError", "message": "matrix entries must be finite"}
+
     def test_params_echoed(self, capsys, monkeypatch):
         payload = {"Q": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
         _, doc, _ = run_cli(["domain-check", "--tol", "1e-8", "--seed", "7"],

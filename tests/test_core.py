@@ -17,6 +17,7 @@ from ncpick.core import (
     _operator_norms,
     check_intertwining,
     direct_sum,
+    domain_margin,
     eval_nc_poly,
     eval_word,
     in_domain,
@@ -231,8 +232,8 @@ class TestOperatorNorm:
 class TestDomain:
     def test_scalar_margin(self):
         Q = NcMatrixPolynomial.scalar_univariate([0, 1])
-        ok, margin = in_domain(Q, scalar_point(0.5), margin=True)
-        assert ok and margin == pytest.approx(0.5)
+        assert in_domain(Q, scalar_point(0.5)) is True
+        assert domain_margin(Q, scalar_point(0.5)) == pytest.approx(0.5)
 
     def test_boundary_is_outside(self):
         Q = NcMatrixPolynomial.row_pencil(2)
@@ -242,15 +243,15 @@ class TestDomain:
     def test_nilpotent_norm(self):
         Q = NcMatrixPolynomial.scalar_univariate([0, 1])
         Z = mt(0.9 * jordan_cell(0, 2))
-        ok, margin = in_domain(Q, Z, margin=True)
-        assert ok and margin == pytest.approx(0.1)
+        assert in_domain(Q, Z) is True
+        assert domain_margin(Q, Z) == pytest.approx(0.1)
 
     def test_unitary_similarity_invariance(self, rng):
         Q = NcMatrixPolynomial.row_pencil(2)
         Z = mt(*(0.3 * rng.standard_normal((3, 3)) for _ in range(2)))
         U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        _, m1 = in_domain(Q, Z, margin=True)
-        _, m2 = in_domain(Q, similarity(Z, U), margin=True)
+        m1 = domain_margin(Q, Z)
+        m2 = domain_margin(Q, similarity(Z, U))
         assert abs(m1 - m2) <= 1e-12
 
 

@@ -392,9 +392,13 @@ class TestCpCheckFinite:
         Q = random_row_poly(rng, 2, r=2, degree=1)
         levels = (1, 2, 3)
         pts = [sample_in_domain(Q, lev, rng, 0.6) for lev in levels]
-        checks = count_calls(monkeypatch, kernels, "psd_check")
+        # one Hermitian part and one eigvalsh of it, with no second symmetrization
+        checks = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        herms = count_calls(monkeypatch, kernels, "_hermitian_part")
+        psd_checks = count_calls(monkeypatch, kernels, "psd_check")
         _, choi = cp_check_finite(Q, pts)
         assert [np.shape(c[0]) for c in checks] == [(14, 14)]  # 1 + 4 + 9
+        assert len(herms) == 1 and psd_checks == []
         sup = choi_support(levels)
         assert np.array_equal(checks[0][0], choi.matrix[np.ix_(sup, sup)])
         off = np.ones(choi.matrix.shape[0], dtype=bool)
@@ -404,7 +408,7 @@ class TestCpCheckFinite:
     def test_scalar_points_give_the_classical_pick_matrix(self, monkeypatch):
         Q = NcMatrixPolynomial.scalar_univariate([0, 1])
         z = np.array(SCALAR_NODES)
-        checks = count_calls(monkeypatch, kernels, "psd_check")
+        checks = count_calls(monkeypatch, np.linalg, "eigvalsh")
         cert, choi = cp_check_finite(Q, [scalar_point(v) for v in z])
         gram = 1.0 / (1.0 - np.outer(z, z.conj()))
         assert np.abs(checks[0][0] - gram).max() <= 1e-12

@@ -21,6 +21,7 @@ from ncpick.realization import (
 from ncpick.sampling import random_row_poly, sample_in_domain
 
 from conftest import (
+    _amplified_maps,
     amplified_partial_sum,
     amplified_transfer,
     count_calls,
@@ -141,6 +142,18 @@ class TestExtraction:
             num = partial_sum_eval(f, Z, L)
             assert np.linalg.norm(sym - num, 2) <= 1e-10 * max(1, np.linalg.norm(num, 2))
 
+    def test_cap_counts_only_returned_words(self, rng):
+        # d = 3, dimX = 1: depth 6 returns 1 + 3 + ... + 3^7 = 3280 < 4096 words,
+        # so no bucket beyond the last one returned may count against the cap
+        Q = NcMatrixPolynomial.row_pencil(3)
+        f = RealizedFunction(random_contractive_colligation(1, 1, 1, 3, seed=6), Q)
+        assert len(extract_nc_polynomial(f, 5).terms) == 1093
+        poly = extract_nc_polynomial(f, 6)
+        assert len(poly.terms) == 3280
+        Z = mt(*(0.1 * rng.standard_normal((2, 2)) for _ in range(3)))
+        num = partial_sum_eval(f, Z, 6)
+        assert np.linalg.norm(_eval_poly(poly, Z) - num, 2) <= 1e-12 * np.linalg.norm(num, 2)
+
     def test_cap_enforced(self):
         Q = NcMatrixPolynomial.row_pencil(3)
         col = random_contractive_colligation(2, 1, 1, 3, seed=4)
@@ -181,6 +194,25 @@ class TestUniformErrorReport:
         errs = [uniform_error_report(f, samples, L).observed_max for L in range(2, 9)]
         for e1, e2 in zip(errs, errs[1:]):
             assert e2 <= e1 + 1e-12
+
+    @pytest.mark.parametrize("L", [0, 3, 12, 30])
+    def test_errors_match_summed_tail(self, rng, L):
+        # oracle: the tail C sum_{L < j <= L + 120} G^j K through the amplified
+        # colligation, summed term by term with no O(1) value subtracted
+        Q = NcMatrixPolynomial.row_pencil(2)
+        col = random_contractive_colligation(3, 2, 2, 2, seed=7)
+        f = RealizedFunction(col, Q)
+        samples = [sample_in_domain(Q, n, rng, 0.6) for n in (1, 2, 3)]
+        rep = uniform_error_report(f, samples, L)
+        for Z, got in zip(samples, rep.samples):
+            G, K, Cn, _ = _amplified_maps(col, kron_eval_poly(Q, Z))
+            term = np.linalg.matrix_power(G, L + 1) @ K
+            tail = np.zeros_like(term)
+            for _ in range(120):
+                tail += term
+                term = G @ term
+            want = np.linalg.norm(Cn @ tail, 2)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_one_q0_evaluation_and_norm_per_sample(self, rng, monkeypatch):
         # rho, the exact value and the partial sum share one Q0(Z) per sample
