@@ -43,7 +43,7 @@ from .kernels import (
     PsdCertificate,
     _certified_factor,
     _dbr_choi,
-    _stein_solve,
+    _szego_solve,
     psd_check,
 )
 from .realization import (
@@ -252,7 +252,7 @@ def ltoa_certificate(p: LtoaProblem, rel_tol: float = PSD_REL_TOL) -> PsdCertifi
     """
     n = p.Z0.n
     rhs = p.X @ p.X.conj().T - p.Y @ p.Y.conj().T
-    T = _stein_solve(p._row, p._row, p.Z0.d, rhs.reshape(-1)).reshape(n, n)
+    T = _szego_solve(p._row, p._row, rhs.reshape(-1, 1)).reshape(n, n)
     return psd_check(T, rel_tol=rel_tol)
 
 

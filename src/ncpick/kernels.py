@@ -6,15 +6,19 @@ the disk it is the unique solution T of the Stein identity
 
     T - Q0(Z) (T (x) I_R) Q0(W)* = P,
 
-computed by one dense linear solve on the vectorized equation (the test
-suite keeps the truncated geometric series, with its a-priori tail bound,
-as an independent oracle).  A linear map on matrices is represented by its
-matrix on row-major vectorized inputs, and its Choi matrix is a reshape of
-that matrix (``map_matrix_to_choi``; ``cp_check_finite`` applies the same
-reshape to rectangular pair blocks).  On top of that sit PSD certificates,
-Kolmogorov factors certified by their own eigendecomposition, the finite
-complete-positivity test of the Szego kernel, and the de Branges-Rovnyak
-kernel used by the interpolation criteria.
+computed by ``_stein_solve``, ncpick's one solve of an identity-minus
+system: dense LU of I - sum_rho E_rho (x) M_rho at a stack of values Q0(Z)
+with blocks E_rho, here with M_rho = conj(F_rho) for the blocks F_rho of
+Q0(W) (transfer functions and the Oka-Weil tail take M_rho = A_rho).  The
+test suite keeps the truncated geometric series, with its a-priori tail
+bound, as an independent oracle.  A linear map on matrices is represented
+by its matrix on row-major vectorized inputs, and its Choi matrix is a
+reshape of that matrix (``map_matrix_to_choi``; ``cp_check_finite``
+applies the same reshape to rectangular pair blocks).  On top of that sit
+PSD certificates, Kolmogorov factors certified by their own
+eigendecomposition, the finite complete-positivity test of the Szego
+kernel, and the de Branges-Rovnyak kernel used by the interpolation
+criteria.
 
 Single-node de Branges-Rovnyak data (Q0, Z0, A0, B0) lives in one place,
 ``PickProblem``: its construction is the only validation of that data and
@@ -206,26 +210,39 @@ def _check_row_poly(Q0: NcMatrixPolynomial) -> None:
         raise ValueError("the Szego kernel requires a one-row polynomial (s = 1)")
 
 
-def _phi_matrix(QZ: np.ndarray, QW: np.ndarray, r: int) -> np.ndarray:
-    """Matrix of Phi on row-major vectorized n x m inputs, from Q0(Z) and Q0(W).
+def _phi_matrix(QZ: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sum_rho E_rho (x) M_rho, shape (K, n p, n q), for a stack ``QZ`` of K values Q0(Z).
 
-    For a one-row Q0 the values have shapes n x (r n) and m x (r m); with
-    E_rho, F_rho their blocks in tensor slot rho the matrix is
-    sum_rho E_rho (x) conj(F_rho), one ``einsum`` over rho.
+    ``QZ`` has shape (K, n, r n) and E_rho is a value's n x n block in
+    tensor slot rho; ``M`` holds the r right factors, shape (r, p, q).
     """
-    n, m = QZ.shape[0], QW.shape[0]
-    return np.einsum("irj,krl->ikjl", QZ.reshape(n, r, n),
-                     QW.conj().reshape(m, r, m)).reshape(n * m, n * m)
+    K, n = QZ.shape[0], QZ.shape[1]
+    r, p, q = M.shape
+    return np.einsum("kirj,rab->kiajb", QZ.reshape(K, n, r, n), M).reshape(K, n * p, n * q)
 
 
-def _stein_solve(QZ: np.ndarray, QW: np.ndarray, r: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - Phi) x = rhs for row-major vectorized n x m unknowns.
+def _stein_solve(QZ: np.ndarray, M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - sum_rho E_rho (x) M_rho) x = rhs by dense LU at each value in the stack.
 
-    Phi is built from the values Q0(Z) and Q0(W) of a one-row Q0 with r
-    columns per level; callers evaluate them through ``_eval_in_domain``.
+    ``QZ`` and ``M`` (square factors) are as in ``_phi_matrix``; ``rhs`` has
+    shape (K, n p, c), or (1, n p, c) when shared by the stack.
     """
-    nm = QZ.shape[0] * QW.shape[0]
-    return np.linalg.solve(np.eye(nm) - _phi_matrix(QZ, QW, r), rhs)
+    G = _phi_matrix(QZ, M)
+    # I - G in place: G is a fresh array, and the einsum its diagonals' view
+    np.negative(G, out=G)
+    np.einsum("kii->ki", G)[...] += 1.0
+    return np.linalg.solve(G, rhs)
+
+
+def _szego_solve(QZ: np.ndarray, QW: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_stein_solve`` of T - Q0(Z) (T (x) I_R) Q0(W)^* = P on row-major vec T.
+
+    The right factors are conj(F_rho) for the m x m blocks F_rho of Q0(W);
+    ``rhs`` has shape (n m, c).
+    """
+    m, rm = QW.shape
+    return _stein_solve(QZ[None], QW.conj().reshape(m, rm // m, m).transpose(1, 0, 2),
+                        rhs[None])[0]
 
 
 def _pair_values(Q0: NcMatrixPolynomial, Z: MatrixTuple,
@@ -241,7 +258,7 @@ def _pair_values(Q0: NcMatrixPolynomial, Z: MatrixTuple,
 def szego_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple) -> np.ndarray:
     """Matrix of P -> k_{Q0}(Z, W)(P) on row-major vectorized inputs."""
     _check_row_poly(Q0)
-    return _stein_solve(*_pair_values(Q0, Z, W), Q0.r, np.eye(Z.n * W.n))
+    return _szego_solve(*_pair_values(Q0, Z, W), np.eye(Z.n * W.n))
 
 
 def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P) -> np.ndarray:
@@ -250,7 +267,7 @@ def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P
     P = np.asarray(P, dtype=complex)
     if P.shape != (Z.n, W.n):
         raise DimensionMismatchError("P must be level(Z) x level(W)")
-    return _stein_solve(*_pair_values(Q0, Z, W), Q0.r, P.reshape(-1)).reshape(Z.n, W.n)
+    return _szego_solve(*_pair_values(Q0, Z, W), P.reshape(-1, 1)).reshape(Z.n, W.n)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +306,7 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
     support_choi = np.empty((sq[-1], sq[-1]), dtype=complex)
     for a, (QZa, na) in enumerate(zip(values, levels)):
         for b, (QZb, nb) in enumerate(zip(values, levels)):
-            K = _stein_solve(QZa, QZb, Q0.r, np.eye(na * nb))
+            K = _szego_solve(QZa, QZb, np.eye(na * nb))
             support_choi[sq[a] : sq[a + 1], sq[b] : sq[b + 1]] = _choi_reshuffle(
                 K, (na, nb), (na, nb))
     support_choi = _hermitian_part(support_choi)
@@ -400,7 +417,7 @@ def _dbr_map(p: PickProblem) -> np.ndarray:
     the problem's own Q0(Z0).
     """
     _check_row_poly(p.Q0)
-    K = _stein_solve(p._QZ0, p._QZ0, p.Q0.r, np.eye(p.n * p.n))
+    K = _szego_solve(p._QZ0, p._QZ0, np.eye(p.n * p.n))
     return (_sandwich_matrix(p.A0, p.n) - _sandwich_matrix(p.B0, p.n)) @ K
 
 

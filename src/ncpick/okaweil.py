@@ -5,7 +5,9 @@ a free polynomial q_L; on any sample set with ||Q0(Z)|| <= rho < 1 the
 error against the exact transfer function obeys the geometric bound
 ||C|| ||B|| rho^(L+1) / (1 - rho) whenever the colligation is contractive.
 ``extract_nc_polynomial`` performs the same truncation symbolically by
-word convolution, subject to an explicit word cap.
+word convolution, subject to an explicit word cap.  The state map is
+``kernels._phi_matrix`` with the right factors A_rho, and the error
+report's state solve is ``kernels._stein_solve``, the transfer function's.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from .core import (
     operator_norm,
     word_concat,
 )
+from .kernels import _phi_matrix, _stein_solve
 from .realization import (
-    Colligation,
     RealizedFunction,
+    _input_map,
     _output_map,
     _readout,
-    _state_maps,
 )
 
 __all__ = [
@@ -58,17 +60,14 @@ def partial_sum_eval(f: RealizedFunction, Z: MatrixTuple, L: int) -> np.ndarray:
     """
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
-    return _partial_sum_stack(f.colligation, _eval_in_domain(f.Q0, Z)[None], L)[0]
-
-
-def _partial_sum_stack(col: Colligation, QZ: np.ndarray, L: int) -> np.ndarray:
-    """``partial_sum_eval`` at K points of one level from their values Q0(Z), (K, n, r n)."""
-    G, term = _state_maps(col, QZ)
+    col, QZ = f.colligation, _eval_in_domain(f.Q0, Z)[None]
+    G = _phi_matrix(QZ, col.A.reshape(col.r, col.dimX, col.dimX))
+    term = _input_map(col, QZ)
     acc = term.copy()
     for _ in range(L):
         term = G @ term
         acc += term
-    return _readout(col, acc, QZ.shape[1])
+    return _readout(col, acc, Z.n)[0]
 
 
 def extract_nc_polynomial(f: RealizedFunction, L: int) -> NcMatrixPolynomial:
@@ -81,16 +80,13 @@ def extract_nc_polynomial(f: RealizedFunction, L: int) -> NcMatrixPolynomial:
     col, Q0 = f.colligation, f.Q0
     X, u, y, r = col.dimX, col.dimU, col.dimY, col.r
     d = Q0.d
-    A3 = col.A.reshape(r, X, X)
-    B3 = col.B.reshape(r, X, u)
 
-    # one-step series: G_w = (Q_w (x) I_X) A and K_w = (Q_w (x) I_X) B
-    G_step: dict[Word, np.ndarray] = {}
-    K_step: dict[Word, np.ndarray] = {}
-    for w, coeff in Q0.terms.items():
-        row = coeff.reshape(r)
-        G_step[w] = np.einsum("r,rab->ab", row, A3)
-        K_step[w] = np.einsum("r,rau->au", row, B3)
+    # one-step series: G_w = (Q_w (x) I_X) A and K_w = (Q_w (x) I_X) B, the
+    # state and input maps at the coefficient rows Q_w as level-1 values
+    words = list(Q0.terms)
+    rows = np.array([Q0.terms[w] for w in words], dtype=complex).reshape(len(words), 1, r)
+    G_step = dict(zip(words, _phi_matrix(rows, col.A.reshape(r, X, X))))
+    K_step = dict(zip(words, _phi_matrix(rows, col.B.reshape(r, X, u))))
 
     def add(bucket: dict[Word, np.ndarray], w: Word, mat: np.ndarray) -> None:
         if w in bucket:
@@ -157,11 +153,12 @@ def uniform_error_report(f: RealizedFunction, K_samples: Sequence[MatrixTuple],
     if rho >= 1.0:
         raise DomainError("a sample lies outside the strict subdomain")
     errs = []
+    A = col.A.reshape(col.r, col.dimX, col.dimX)
     for QZ in values:
         # S(Z) minus the partial sum is the Neumann tail C^(n) G^(L+1) H with
         # (I - G) H = K: one state solve, and no two O(1) values subtracted
-        G, H = _state_maps(col, QZ[None])
-        H = np.linalg.solve(np.eye(G.shape[1]) - G, H)
+        H = _stein_solve(QZ[None], A, _input_map(col, QZ[None]))
+        G = _phi_matrix(QZ[None], A)
         for _ in range(L + 1):
             H = G @ H
         errs.append(float(np.linalg.norm(_output_map(col, H, QZ.shape[0])[0], 2)))

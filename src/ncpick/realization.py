@@ -19,12 +19,11 @@ is R (x) C^n (x) X (tensor index outermost), inputs/outputs are
 U (x) C^n and Y (x) C^n.
 
 The transfer function is evaluated from the value Q0(Z) alone, on a stack
-of K points of one level at a time: with E_rho the n x n block of Q0(Z)
-in tensor slot rho, ``(Q0(Z) (x) I_X) A^(n) = sum_rho E_rho (x) A_rho``,
-so one matmul over the tensor slot per block (A and B), one stacked
-``solve`` and one ``einsum`` for C replace the amplified colligation and
-its Kronecker products.  A single point is the stack K = 1.  ``amplify``
-still builds the amplified blocks explicitly; no evaluation path uses it.
+of K points of one level at a time (a single point is K = 1): its state
+equation is the Szego kernel's Stein equation with the right factors
+A_rho, solved by ``kernels._stein_solve``, and one ``einsum`` applies C.
+``amplify`` still builds the amplified blocks explicitly; no evaluation
+path uses it.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ from .kernels import (
     PsdCertificate,
     _certified_factor,
     _dbr_choi,
+    _phi_matrix,
+    _stein_solve,
     psd_check,
 )
 
@@ -170,23 +171,16 @@ def transfer_eval(f: RealizedFunction, Z: MatrixTuple) -> np.ndarray:
     return _transfer_stack(f.colligation, _eval_in_domain(f.Q0, Z)[None])[0]
 
 
-def _state_maps(col: Colligation, QZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q0(Z) (x) I_X) A^(n)`` and ``(Q0(Z) (x) I_X) B^(n)`` for a stack of values.
+def _input_map(col: Colligation, QZ: np.ndarray) -> np.ndarray:
+    """``(Q0(Z) (x) I_X) B^(n)``, U (x) C^n -> C^n (x) X, for values Q0(Z) of shape (K, n, r n).
 
-    ``QZ`` holds Q0(Z) at K points of level n, shape (K, n, r n).  With
-    E_rho the n x n block of Q0(Z) in tensor slot rho, the state map is
-    G = sum_rho E_rho (x) A_rho on C^n (x) X and the input map sends
-    U (x) C^n to sum_rho E_rho[i, j] B_rho, so neither the amplified
-    colligation nor ``Q0(Z) (x) I_X`` is formed: each is one
-    (K n^2, r) @ (r, X^2) (resp. (r, X u)) matmul over the tensor slot.
+    It is ``kernels._phi_matrix`` with the right factors B_rho, its columns
+    regrouped from (j, u) to (u, j).
     """
     K, n = QZ.shape[0], QZ.shape[1]
-    X, u, r = col.dimX, col.dimU, col.r
-    E = QZ.reshape(K, n, r, n).transpose(0, 1, 3, 2).reshape(K * n * n, r)
-    G = (E @ col.A.reshape(r, X * X)).reshape(K, n, n, X, X)
-    B = (E @ col.B.reshape(r, X * u)).reshape(K, n, n, X, u)
-    return (G.transpose(0, 1, 3, 2, 4).reshape(K, n * X, n * X),
-            B.transpose(0, 1, 3, 4, 2).reshape(K, n * X, u * n))
+    X, u = col.dimX, col.dimU
+    B = _phi_matrix(QZ, col.B.reshape(col.r, X, u)).reshape(K, n * X, n, u)
+    return B.transpose(0, 1, 3, 2).reshape(K, n * X, u * n)
 
 
 def _output_map(col: Colligation, state: np.ndarray, n: int) -> np.ndarray:
@@ -209,12 +203,8 @@ def _transfer_stack(col: Colligation, QZ: np.ndarray) -> np.ndarray:
     ``QZ`` has shape (K, n, r n) and every Q0(Z) must lie in the disk
     (the caller has checked the norms); returns shape (K, dimY n, dimU n).
     """
-    n = QZ.shape[1]
-    G, B = _state_maps(col, QZ)
-    # I - G in place: G is a fresh array
-    np.negative(G, out=G)
-    G.reshape(G.shape[0], -1)[:, :: n * col.dimX + 1] += 1.0
-    return _readout(col, np.linalg.solve(G, B), n)
+    A = col.A.reshape(col.r, col.dimX, col.dimX)
+    return _readout(col, _stein_solve(QZ, A, _input_map(col, QZ)), QZ.shape[1])
 
 
 def colligation_contraction_check(col: Colligation) -> PsdCertificate:

@@ -133,6 +133,13 @@ def decode_matrix(obj) -> np.ndarray:
     return out
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer field: an int or, as JSON Schema reads "integer", an integral float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def encode_tuple(Z: MatrixTuple) -> dict:
     return {"d": Z.d, "n": Z.n, "components": [encode_matrix(c) for c in Z.components]}
 
@@ -140,9 +147,9 @@ def encode_tuple(Z: MatrixTuple) -> dict:
 def decode_tuple(obj: Mapping[str, Any]) -> MatrixTuple:
     comps = [decode_matrix(c) for c in obj["components"]]
     Z = MatrixTuple(tuple(comps))
-    if "d" in obj and int(obj["d"]) != Z.d:
+    if "d" in obj and _integer(obj["d"], "d") != Z.d:
         raise ValueError("declared d does not match the component count")
-    if "n" in obj and int(obj["n"]) != Z.n:
+    if "n" in obj and _integer(obj["n"], "n") != Z.n:
         raise ValueError("declared n does not match the component size")
     return Z
 
@@ -156,10 +163,10 @@ def encode_poly(Q: NcMatrixPolynomial) -> dict:
 
 
 def decode_poly(obj: Mapping[str, Any]) -> NcMatrixPolynomial:
-    d, s, r = int(obj["d"]), int(obj["s"]), int(obj["r"])
+    d, s, r = (_integer(obj[key], key) for key in ("d", "s", "r"))
     terms: dict[Word, np.ndarray] = {}
     for item in obj.get("terms", []):
-        w = Word(tuple(int(k) for k in item["word"]), d)
+        w = Word(tuple(_integer(k, "a word letter") for k in item["word"]), d)
         coeff = decode_matrix(item["coeff"])
         terms[w] = terms.get(w, 0) + coeff
     return NcMatrixPolynomial(d, s, r, terms)
@@ -189,19 +196,11 @@ def _decode_block(obj, shape) -> np.ndarray:
 
 
 def decode_colligation(obj: Mapping[str, Any]) -> Colligation:
-    dimX, dimU = int(obj["dimX"]), int(obj["dimU"])
-    dimY, r = int(obj["dimY"]), int(obj["r"])
-    return Colligation(
-        dimX,
-        dimU,
-        dimY,
-        r,
-        _decode_block(obj.get("A"), (r * dimX, dimX)),
-        _decode_block(obj.get("B"), (r * dimX, dimU)),
-        _decode_block(obj.get("C"), (dimY, dimX)),
-        _decode_block(obj.get("D"), (dimY, dimU)),
-        flags=tuple(obj.get("flags", ())),
-    )
+    dimX, dimU, dimY, r = (_integer(obj[key], key) for key in ("dimX", "dimU", "dimY", "r"))
+    shapes = {"A": (r * dimX, dimX), "B": (r * dimX, dimU), "C": (dimY, dimX), "D": (dimY, dimU)}
+    return Colligation(dimX, dimU, dimY, r,
+                       *(_decode_block(obj.get(key), shape) for key, shape in shapes.items()),
+                       flags=tuple(obj.get("flags", ())))
 
 
 def encode_certificate(cert: PsdCertificate) -> dict:

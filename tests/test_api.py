@@ -1,5 +1,6 @@
-"""Public names resolve, the traced benchmark still finds what it wraps, and
-the settable values of the public API are budgeted."""
+"""Public names resolve, the traced benchmark still finds what it wraps, the
+settable values of the public API are budgeted, and dense solves stay in
+their two places."""
 
 import ast
 import importlib
@@ -131,3 +132,45 @@ def test_unused_imports_detected():
 def test_no_unused_imports(path):
     # __init__.py is exempt: its imports are the package's re-exports
     assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
+
+
+def solve_sites(source: str, module: str) -> list[str]:
+    """``module.function`` of each ``linalg.solve`` use; ``module`` for an imported ``solve``."""
+    sites, scope = [], [module]
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            base = getattr(node.value, "attr", getattr(node.value, "id", None))
+            if node.attr == "solve" and base == "linalg":
+                sites.append(".".join(scope))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            names = [alias.name for alias in node.names]
+            if (node.module or "").endswith("linalg") and "solve" in names:
+                sites.append(module)
+
+    Visitor().visit(ast.parse(source))
+    return sites
+
+
+def test_solve_sites_detected():
+    source = ("import numpy as np\nfrom numpy import linalg\nfrom scipy.linalg import solve\n"
+              "def f():\n    def g():\n        return np.linalg.solve(a, b)\n"
+              "    return linalg.solve(a, b)\n")
+    assert solve_sites(source, "m") == ["m", "m.f.g", "m.f"]
+
+
+def test_one_identity_minus_solve():
+    # every I - Phi and I - G system goes through kernels._stein_solve; the
+    # only other dense solve is the Hermite interpolation system
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in solve_sites(path.read_text(encoding="utf-8"), path.stem)]
+    assert sites == ["envelopes.hermite_separating_poly", "kernels._stein_solve"]

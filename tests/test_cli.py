@@ -356,6 +356,39 @@ class TestErrors:
         assert code == 2
         assert doc["error"] == {"type": "ValueError", "message": "matrix entries must be finite"}
 
+    @pytest.mark.parametrize("command, payload, message", [
+        # each read as z_1 before integer fields were checked
+        ("eval", {"Q": {**Z_POLY, "d": 1.9, "terms": [{"word": [1.7], "coeff": [[[1.0, 0.0]]]}]},
+                  "Z": encode_tuple(scalar_point(0.5))}, "d must be an integer, got 1.9"),
+        ("eval", {"Q": {**Z_POLY, "d": True}, "Z": encode_tuple(scalar_point(0.5))},
+         "d must be an integer, got True"),
+        ("eval", {"Q": {**Z_POLY, "s": "1"}, "Z": encode_tuple(scalar_point(0.5))},
+         "s must be an integer, got '1'"),
+        ("eval", {"Q": {**Z_POLY, "terms": [{"word": [1.5], "coeff": [[[1.0, 0.0]]]}]},
+                  "Z": encode_tuple(scalar_point(0.5))},
+         "a word letter must be an integer, got 1.5"),
+        ("eval", {"Q": Z_POLY, "Z": {**encode_tuple(scalar_point(0.5)), "n": "1"}},
+         "n must be an integer, got '1'"),
+        ("realize-eval", {"colligation": {"dimX": 0, "dimU": True, "dimY": 1, "r": 1,
+                                          "D": [[[0.5, 0.0]]]},
+                          "Q0": Z_POLY, "Z": encode_tuple(scalar_point(0.5))},
+         "dimU must be an integer, got True"),
+    ], ids=["fractional-d-and-letter", "bool-d", "string-s", "fractional-letter", "string-n",
+            "bool-dimU"])
+    def test_integer_fields_must_be_integers(self, capsys, monkeypatch, command, payload,
+                                             message):
+        code, _, out = run_cli([command], payload, capsys, monkeypatch)
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError", "message": message}
+
+    def test_integral_float_fields_accepted(self, capsys, monkeypatch):
+        # a float of zero fractional part is an integer, as in JSON Schema
+        payload = {"Q": {**Z_POLY, "d": 1.0, "terms": [{"word": [1.0], "coeff": [[[1.0, 0.0]]]}]},
+                   "Z": encode_tuple(scalar_point(0.5))}
+        code, doc, _ = run_cli(["eval"], payload, capsys, monkeypatch)
+        assert code == 0 and doc["value"] == [[[0.5, 0.0]]]
+
     def test_params_echoed(self, capsys, monkeypatch):
         payload = {"Q": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
         _, doc, _ = run_cli(["domain-check", "--tol", "1e-8", "--seed", "7"],

@@ -643,8 +643,8 @@ class TestLtoa:
         X = complex_gaussian(rng, (n, y))
         row = _eval_poly(Q, Z0)
         A, B = col.A.reshape(d, dimX, dimX), col.B.reshape(d, dimX, u)
-        A_adj = np.hstack([a.conj().T for a in A])
-        H = kernels._stein_solve(row, A_adj, d, (X @ col.C).reshape(-1)).reshape(n, dimX)
+        H = kernels._stein_solve(row[None], A.transpose(0, 2, 1), (X @ col.C).reshape(1, -1, 1))
+        H = H.reshape(n, dimX)
         want = X @ col.D + sum(Z @ H @ b for Z, b in zip(Z0.components, B))
         got = ltoa_eval(f, Z0, X)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -17,6 +17,7 @@ from ncpick.kernels import (
     szego_kernel_solve,
     szego_map_matrix,
 )
+from ncpick.realization import random_contractive_colligation
 from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
 from conftest import count_calls, kron_phi_matrix, kron_sandwich_matrix, mt, phi_map, \
@@ -181,7 +182,8 @@ class TestVecMatrices:
         rng = np.random.default_rng(seed)
         QZ, QW = complex_gaussian(rng, (n, r * n)), complex_gaussian(rng, (m, r * m))
         want = kron_phi_matrix(QZ, QW, r)
-        assert _rel_err(kernels._phi_matrix(QZ, QW, r), want) <= 1e-14
+        got = kernels._phi_matrix(QZ[None], QW.conj().reshape(m, r, m).transpose(1, 0, 2))[0]
+        assert _rel_err(got, want) <= 1e-14
 
     @given(c=st.integers(1, 3), e=st.integers(1, 3), n=st.integers(1, 4),
            seed=st.integers(0, 2**16))
@@ -197,6 +199,49 @@ class TestVecMatrices:
         krons = count_calls(monkeypatch, np, "kron")
         assert cp_check_finite(Q, pts)[0].is_psd
         assert krons == []
+
+
+def _values_of_norm(rng, K: int, n: int, cols: int, rho: float) -> np.ndarray:
+    """K complex Gaussian n x cols values, each scaled to spectral norm rho."""
+    QZ = complex_gaussian(rng, (K, n, cols))
+    return QZ * (rho / np.linalg.norm(QZ, 2, axis=(1, 2)))[:, None, None]
+
+
+class TestSteinSolve:
+    # the one solve against a dense Kronecker solve: sum_rho E_rho (x) M_rho is
+    # kron_phi_matrix(QZ, QW, r) for QW = [conj(M_1) ... conj(M_r)]
+
+    @given(K=st.sampled_from([1, 3]), r=st.integers(1, 3), n=st.integers(1, 4),
+           m=st.integers(1, 4), rho=st.floats(0.0, 0.99), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_szego_matches_dense_kronecker_solve(self, K, r, n, m, rho, seed):
+        if m == n:
+            m = n % 4 + 1
+        rng = np.random.default_rng(seed)
+        QZ = _values_of_norm(rng, K, n, r * n, rho)
+        QW = _values_of_norm(rng, 1, m, r * m, rho)[0]
+        rhs = complex_gaussian(rng, (1, n * m, 2))  # shared by the stack
+        got = kernels._stein_solve(QZ, QW.conj().reshape(m, r, m).transpose(1, 0, 2), rhs)
+        assert got.shape == (K, n * m, 2)
+        for k in range(K):
+            want = np.linalg.solve(np.eye(n * m) - kron_phi_matrix(QZ[k], QW, r), rhs[0])
+            assert _rel_err(got[k], want) <= 1e-12
+
+    @given(K=st.sampled_from([1, 3]), r=st.integers(1, 3), n=st.integers(1, 4),
+           X=st.sampled_from([0, 1, 6]), u=st.integers(1, 2), rho=st.floats(0.0, 0.99),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_state_matches_dense_kronecker_solve(self, K, r, n, X, u, rho, seed):
+        rng = np.random.default_rng(seed)
+        A = random_contractive_colligation(X, u, 1, r, seed=seed).A.reshape(r, X, X)
+        QZ = _values_of_norm(rng, K, n, r * n, rho)
+        rhs = complex_gaussian(rng, (K, n * X, u * n))
+        got = kernels._stein_solve(QZ, A, rhs)
+        assert got.shape == rhs.shape
+        QW = np.hstack(list(A.conj()))
+        for k in range(K):
+            want = np.linalg.solve(np.eye(n * X) - kron_phi_matrix(QZ[k], QW, r), rhs[k])
+            assert _rel_err(got[k], want) <= 1e-12
 
 
 class TestSzegoKernel:
@@ -354,7 +399,7 @@ class TestCpCheckFinite:
         cp_check_finite(Q, pts)
         p = len(pts)
         assert (len(evals), len(norms), len(solves)) == (p, p, p * p)
-        assert [(s[0].shape[0], s[1].shape[0]) for s in solves] == [
+        assert [(s[0].shape[1], s[1].shape[1]) for s in solves] == [
             (Za.n, Zb.n) for Za in pts for Zb in pts]
 
     @given(d=st.integers(1, 2), r=st.integers(1, 2),

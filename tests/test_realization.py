@@ -12,12 +12,12 @@ from ncpick.core import (
     operator_norm,
     similarity,
 )
-from ncpick.kernels import NotPsdError, dbr_choi, kolmogorov_factor
+from ncpick.kernels import NotPsdError, _phi_matrix, dbr_choi, kolmogorov_factor
 from ncpick.realization import (
     SVD_RANK_TOL,
     Colligation,
     RealizedFunction,
-    _state_maps,
+    _input_map,
     amplify,
     colligation_contraction_check,
     lurking_isometry_synthesize,
@@ -67,7 +67,8 @@ class TestTransferEval:
         rng = np.random.default_rng(seed)
         col = random_contractive_colligation(X, u, 1, r, seed=seed)
         QZ = complex_gaussian(rng, (K, n, r * n))
-        for got, want in zip(_state_maps(col, QZ), einsum_state_maps(col, QZ)):
+        state = _phi_matrix(QZ, col.A.reshape(r, X, X))
+        for got, want in zip((state, _input_map(col, QZ)), einsum_state_maps(col, QZ)):
             assert got.shape == want.shape
             scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
