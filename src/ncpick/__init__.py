@@ -7,7 +7,6 @@ feasible data.
 """
 
 from .core import (
-    BlockMatrix,
     DimensionMismatchError,
     DomainError,
     MatrixTuple,

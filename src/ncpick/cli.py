@@ -103,8 +103,7 @@ def _cmd_eval(args) -> int:
     obj = _read_input(args)
     Q = decode_poly(obj["Q"])
     Z = decode_tuple(obj["Z"])
-    val = eval_nc_poly(Q, Z)
-    _emit({"value": encode_matrix(val.A)}, _params(args))
+    _emit({"value": encode_matrix(eval_nc_poly(Q, Z))}, _params(args))
     return EXIT_OK
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "Word",
     "MatrixTuple",
     "NcMatrixPolynomial",
-    "BlockMatrix",
     "IntertwiningReport",
     "DimensionMismatchError",
     "DomainError",
@@ -148,41 +147,6 @@ class MatrixTuple:
         return MatrixTuple(tuple(np.zeros((n, n), dtype=complex) for _ in range(d)))
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """A dense complex matrix together with optional space labels.
-
-    Holds the operator values produced by evaluation (``Q(Z)``, ``a(Z)``,
-    transfer-function values).  ``rows``/``cols`` are the semantic
-    dimensions and always equal the array shape.
-    """
-
-    entries: np.ndarray
-    row_tag: str | None = None
-    col_tag: str | None = None
-
-    def __post_init__(self) -> None:
-        entries = _freeze(np.atleast_2d(self.entries))
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.entries
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries
-        return self.entries.astype(dtype)
-
-
 # ---------------------------------------------------------------------------
 # Free matrix polynomials
 # ---------------------------------------------------------------------------
@@ -282,9 +246,9 @@ def _eval_word(Z: MatrixTuple, a: Word) -> np.ndarray:
     return _word_stack(_as_stack(Z), a)[0]
 
 
-def eval_word(Z: MatrixTuple, a: Word) -> BlockMatrix:
+def eval_word(Z: MatrixTuple, a: Word) -> np.ndarray:
     """Evaluate Z**a, multiplying the components in the written order."""
-    return BlockMatrix(_eval_word(Z, a))
+    return _eval_word(Z, a)
 
 
 def _as_stack(Z: MatrixTuple) -> np.ndarray:
@@ -338,14 +302,13 @@ def _eval_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
     return _eval_poly_stack(Q, _as_stack(Z))[0]
 
 
-def eval_nc_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> BlockMatrix:
-    """Evaluate ``Q(Z) = sum_w coeff_w (x) Z**w`` (coefficient-major blocks)."""
-    return BlockMatrix(_eval_poly(Q, Z), row_tag=f"C^{Q.s}xC^{Z.n}",
-                       col_tag=f"C^{Q.r}xC^{Z.n}")
+def eval_nc_poly(Q: NcMatrixPolynomial, Z: MatrixTuple) -> np.ndarray:
+    """Evaluate ``Q(Z) = sum_w coeff_w (x) Z**w``: the (s n) x (r n) value, coefficient-major."""
+    return _eval_poly(Q, Z)
 
 
 def operator_norm(M) -> float:
-    """Largest singular value of a matrix (or BlockMatrix)."""
+    """Largest singular value of a matrix."""
     return float(_operator_norms(np.asarray(M, dtype=complex)[None])[0])
 
 
@@ -502,7 +465,10 @@ def amp(P: np.ndarray, coeff_dim: int) -> np.ndarray:
     Acts on C (x) C^m as the identity on the coefficient factor and P on
     the point factor, i.e. ``kron(I_C, P)``.
     """
-    return np.kron(np.eye(coeff_dim), np.asarray(P, dtype=complex))
+    P = np.asarray(P, dtype=complex)
+    (m, n), c = P.shape, coeff_dim
+    # entry (i, a; j, b) is delta_ij P[a, b], multiplied out as np.kron does
+    return (np.eye(c)[:, None, :, None] * P[None, :, None, :]).reshape(c * m, c * n)
 
 
 def rep_diag(V: np.ndarray, k: int, coeff_rows: int, coeff_cols: int) -> np.ndarray:

@@ -19,7 +19,7 @@ oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     NcMatrixPolynomial,
     _eval_in_domain,
     _eval_poly,
+    _eval_poly_stack,
     _operator_norms,
     amp,
     direct_sum_many,
@@ -174,7 +175,8 @@ def solve_pick(p: PickProblem, tol: float = 1e-9,
     reports the interpolation residual ||A0 S(Z0) - B0||, and contractivity
     is spot-checked on seeded in-domain samples: the
     ``samples // len(sample_levels)`` points of each level are drawn,
-    scaled and evaluated as one stack, with Q0 evaluated once per point.
+    scaled and evaluated as one stack, with Q0 evaluated once per point;
+    a constant Q0 has the one value Q0(0) (x) I there, so nothing is drawn.
     Infeasible problems return the certificate with ``feasible=False``.
     """
     cert, factor = _certified_factor(_dbr_choi(p), tol)
@@ -182,12 +184,16 @@ def solve_pick(p: PickProblem, tol: float = 1e-9,
         return SolveReport(False, cert)
     col, diag = _synthesize(p, factor, cert, tol, "zero")
     rng = np.random.default_rng(seed)
-    per_level = max(1, samples // max(1, len(sample_levels)))
+    per_level = samples // max(1, len(sample_levels))
     norms: list[float] = []
-    for lev in sample_levels:
-        # the samples' Q0 values have norm below 0.9, which is also the
-        # transfer function's domain check
-        _, QZ = _sample_stack(p.Q0, lev, per_level, rng, target=0.9)
+    for lev in sample_levels if per_level else ():  # fewer samples than levels: none
+        if p.Q0.degree == 0:
+            # every point has the value Q0(0) (x) I, inside the disk as Q0(Z0) is
+            QZ = _eval_poly_stack(p.Q0, np.zeros((per_level, p.Q0.d, lev, lev)))
+        else:
+            # the samples' Q0 values have norm below 0.9, which is also the
+            # transfer function's domain check
+            _, QZ = _sample_stack(p.Q0, lev, per_level, rng, target=0.9)
         norms += _operator_norms(_transfer_stack(col, QZ)).tolist()
     return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
 
@@ -271,6 +277,40 @@ def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0
     return psd_check(_dbr_choi(p).matrix, rel_tol=rel_tol)
 
 
+def _slab_shift(Q: NcMatrixPolynomial, Z0: MatrixTuple, k: int,
+                delta: float) -> Callable[[np.ndarray], float] | None:
+    """The least s >= 0 putting P0 + s I in the strict-Stein slab, as a function of P0.
+
+    Both hypotheses at the k-fold amplification of Z0,
+    a(P) = P - (1 - delta^2) sum_i Z_i P Z_i^* and
+    b(P) = (1 - delta^2)(P (x) I_s) - Q(Z)(P (x) I_r)Q(Z)^*, are linear in P,
+    so along P0 + s I each is M0 + s M1 with M1 its value at I.  With
+    M1 = L L^* (Cholesky), M0 + s M1 is PSD exactly when
+    s >= -lambda_min(L^-1 M0 L^-*), a generalized definite eigenvalue.
+    Returns None when a(I) or b(I) is not positive definite: then the
+    identity is not strictly inside the slab.
+    """
+    QZ = rep_diag(_eval_poly(Q, Z0), k, Q.s, Q.r)
+    Zk = [np.kron(np.eye(k), comp) for comp in Z0.components]
+    fac = 1.0 - delta * delta
+
+    def hypotheses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (P - fac * sum(Zl @ P @ Zl.conj().T for Zl in Zk),
+                fac * amp(P, Q.s) - QZ @ amp(P, Q.r) @ QZ.conj().T)
+
+    try:
+        whiten = [np.linalg.inv(np.linalg.cholesky(M1))
+                  for M1 in hypotheses(np.eye(k * Z0.n, dtype=complex))]
+    except np.linalg.LinAlgError:
+        return None
+
+    def shift(P0: np.ndarray) -> float:
+        return max(0.0, *(-float(np.linalg.eigvalsh(W @ M0 @ W.conj().T)[0])
+                          for W, M0 in zip(whiten, hypotheses(P0))))
+
+    return shift
+
+
 def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
                          delta: float, trials: int = 1000,
                          seed: int = 0) -> np.ndarray | None:
@@ -279,8 +319,10 @@ def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
     Looks for a PSD P at the (n dimY)-fold amplification satisfying both
     hypotheses of the strict dominance condition at margin ``delta`` while
     violating the conclusion beyond the dead band ``PSD_REL_TOL`` max(1, ||P||).
-    Candidates are Gaussian Gram matrices pushed toward the feasible slab by
-    bisection along P + s I.
+    Candidates are Gaussian Gram matrices P0 moved onto the feasible slab
+    along P0 + s I by the least such shift s, in closed form.  When the
+    identity is not strictly inside the slab there is nothing to shift
+    toward, and the search returns None at once.
     One-sided: returns the counterexample or None; absence proves nothing.
     """
     if not 0.0 < delta < 1.0:
@@ -288,49 +330,24 @@ def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
     L0 = np.asarray(Lambda0, dtype=complex)
     n = Z0.n
     y, u = L0.shape[0] // n, L0.shape[1] // n
-    s_dim, r_dim = Q.s, Q.r
     k = n * y
     N = k * n
-    QZ = rep_diag(_eval_poly(Q, Z0), k, s_dim, r_dim)
     Lk = rep_diag(L0, k, y, u)
-    Zk = [np.kron(np.eye(k), comp) for comp in Z0.components]
-    fac = 1.0 - delta * delta
-
-    def hyp_margins(P: np.ndarray) -> float:
-        a = P - fac * sum(Zl @ P @ Zl.conj().T for Zl in Zk)
-        b = fac * amp(P, s_dim) - QZ @ amp(P, r_dim) @ QZ.conj().T
-        ma = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
-        mb = float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0])
-        return min(ma, mb)
 
     def violation(P: np.ndarray) -> float:
         c = amp(P, y) - Lk @ amp(P, u) @ Lk.conj().T
         return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
 
+    shift = _slab_shift(Q, Z0, k, delta)
+    if shift is None:
+        return None
     eyeN = np.eye(N)
-    if hyp_margins(eyeN) < -1e-12:
-        return None  # even the identity misses the slab; nothing to project onto
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         G = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         P0 = G @ G.conj().T
         P0 /= max(float(np.linalg.norm(P0, 2)), 1e-300)
-        if hyp_margins(P0) >= -1e-12:
-            cand = P0
-        else:
-            hi = 1.0
-            while (outside := hyp_margins(P0 + hi * eyeN) < -1e-12) and hi <= 1e6:
-                hi *= 2.0
-            if outside:
-                continue
-            lo = 0.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if hyp_margins(P0 + mid * eyeN) < -1e-12:
-                    lo = mid
-                else:
-                    hi = mid
-            cand = P0 + hi * eyeN
+        cand = P0 + shift(P0) * eyeN
         scale = max(1.0, float(np.linalg.norm(cand, 2)))
         if violation(cand) < -PSD_REL_TOL * scale:
             return cand

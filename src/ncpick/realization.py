@@ -101,7 +101,6 @@ class Colligation:
         }
         for name, want in shapes.items():
             arr = np.array(getattr(self, name), dtype=complex)
-            arr = arr.reshape(want) if arr.size == want[0] * want[1] else arr
             if arr.shape != want:
                 raise DimensionMismatchError(f"block {name} must have shape {want}")
             arr.setflags(write=False)

@@ -100,6 +100,27 @@ def amplified_partial_sum(col, QZ: np.ndarray, L: int) -> np.ndarray:
     return Dn + Cn @ acc
 
 
+def agler_residual(col, QZ: np.ndarray, QW: np.ndarray, SZ: np.ndarray, SW: np.ndarray,
+                   P) -> np.ndarray:
+    """The paper's Agler decomposition of a transfer function S, as a residual.
+
+    amp(P, y) - S(Z) amp(P, u) S(W)^* - F(Z)[(P - Q0(Z) amp(P, r) Q0(W)^*) (x) I_X] F(W)^*
+    with F(Z) = C^(n) (I - (Q0(Z) (x) I_X) A^(n))^-1, built on the amplified
+    colligation, for the values SZ = S(Z), SW = S(W) and P of level(Z) x level(W).
+    It is zero when the colligation is unitary.
+    """
+    P = np.asarray(P, dtype=complex)
+
+    def state_to_output(Q):
+        G, _, Cn, _ = _amplified_maps(col, Q)
+        return Cn @ np.linalg.inv(np.eye(G.shape[0]) - G)
+
+    T = P - QZ @ amp(P, col.r) @ QW.conj().T
+    FZ, FW = state_to_output(QZ), state_to_output(QW)
+    return (amp(P, col.dimY) - SZ @ amp(P, col.dimU) @ SW.conj().T
+            - FZ @ np.kron(T, np.eye(col.dimX)) @ FW.conj().T)
+
+
 # The truncated geometric series for the Szego kernel, an oracle for the
 # exact Stein solve
 

@@ -23,7 +23,7 @@ from ncpick.serialize import (
     encode_poly,
     encode_tuple,
 )
-from ncpick.core import NcMatrixPolynomial
+from ncpick.core import NcMatrixPolynomial, Word
 
 from conftest import mt, scalar_point
 
@@ -120,6 +120,33 @@ class TestPick:
         _, _, out2 = run_cli(["pick-solve", "--seed", "3", "--samples", "5"],
                              payload, capsys, monkeypatch)
         assert out1 == out2
+
+    @pytest.mark.parametrize("samples, count", [(0, 0), (1, 0), (3, 2), (4, 4)])
+    def test_solve_draws_samples_per_level(self, capsys, monkeypatch, samples, count):
+        # samples // 2 points at each of the levels 1 and 2, none when that is 0
+        code, doc, _ = run_cli(["pick-solve", "--samples", str(samples)], self._payload(0.5),
+                               capsys, monkeypatch)
+        assert code == 0 and doc["params"]["samples"] == samples
+        assert len(doc["contractivity_samples"]) == count
+
+    @pytest.mark.parametrize("Q0", [NcMatrixPolynomial(2, 1, 0, {}),
+                                    NcMatrixPolynomial(2, 1, 1, {Word((), 2): 0.5 * np.eye(1)})],
+                             ids=["r0", "constant"])
+    def test_solve_on_constant_q0(self, capsys, monkeypatch, Q0):
+        # Q0 is Q0(0) (x) I at every point, so the samples are copies of that value
+        payload = {
+            "Q0": encode_poly(Q0),
+            "Z0": encode_tuple(mt([[0.1, 0.2], [0.0, 0.3]], [[0.0, -0.2], [0.4, 0.1]])),
+            "A0": encode_matrix(np.eye(2)),
+            "B0": encode_matrix(0.5 * np.eye(2)),
+        }
+        code, doc, _ = run_cli(["pick-check"], payload, capsys, monkeypatch)
+        assert code == 0 and doc["certificate"]["verdict"] == "psd"
+        code, doc, _ = run_cli(["pick-solve", "--samples", "6"], payload, capsys, monkeypatch)
+        assert code == 0 and doc["feasible"] is True
+        norms = doc["contractivity_samples"]
+        assert len(norms) == 6 and len(set(norms)) == 1
+        assert norms[0] == pytest.approx(0.5, abs=1e-12)
 
     def _dead_band_payload(self):
         # |S(0.3)| = 1.0001 is infeasible by a margin of -2.2e-4, inside a 1e-3 band

@@ -453,7 +453,7 @@ def per_sample_contractivity(col, Q0, samples, sample_levels, seed):
     rng = np.random.default_rng(seed)
     points, norms = [], []
     for lev in sample_levels:
-        for _ in range(max(1, samples // max(1, len(sample_levels)))):
+        for _ in range(samples // max(1, len(sample_levels))):
             Z = sample_in_domain(Q0, lev, rng, target=0.9)
             points.append(np.stack(Z.components))
             norms.append(operator_norm(amplified_transfer(col, kron_eval_poly(Q0, Z))))
@@ -493,13 +493,16 @@ class TestContractivitySamples:
         assert rep.feasible and rep.colligation is col
         assert len(rep.contractivity_samples) == len(want)
         np.testing.assert_allclose(rep.contractivity_samples, want, rtol=1e-12, atol=0)
-        assert (max(want) <= 1 + 1e-9) == (rep.max_sampled_norm <= 1 + 1e-9)
+        assert (max(want, default=0.0) <= 1 + 1e-9) == (rep.max_sampled_norm <= 1 + 1e-9)
         # identical draws: the same points, and the generator read to the same state
         got = [Z for Zs, _ in drawn for Z in Zs]
         assert len(got) == len(points)
         for a, b in zip(got, points):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-        assert drawn[-1][1].bit_generator.state == oracle_rng.bit_generator.state
+        if drawn:
+            assert drawn[-1][1].bit_generator.state == oracle_rng.bit_generator.state
+        else:  # fewer samples than levels draw nothing
+            assert samples < len(levels) and not want
 
     def test_node_work_does_not_grow_with_samples(self, monkeypatch):
         # Q0 and its norm are computed at the node and in synthesis only; the
@@ -799,3 +802,47 @@ class TestStrictSteinRefuter:
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             strict_stein_refuter(Z_SCALAR, scalar_point(0.0), np.eye(1), delta=1.5)
+
+
+def stein_hypothesis_margins(Q, Z0, k, delta, P):
+    """Least eigenvalues of a(P) and b(P), the strict-Stein hypotheses at the
+    k-fold point, formed with ``np.kron``."""
+    fac = 1.0 - delta * delta
+    Zk = mt(*(np.kron(np.eye(k), c) for c in Z0.components))
+    QZ = kron_eval_poly(Q, Zk)
+    a = P - fac * sum(Z @ P @ Z.conj().T for Z in Zk.components)
+    b = fac * np.kron(np.eye(Q.s), P) - QZ @ np.kron(np.eye(Q.r), P) @ QZ.conj().T
+    return [float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0]) for M in (a, b)]
+
+
+class TestSlabShift:
+    @pytest.mark.parametrize("case", ["scalar", "row_pencil"])
+    def test_shift_is_the_least_feasible_one(self, case):
+        rng = np.random.default_rng(17)
+        if case == "scalar":
+            Q, Z0 = Z_SCALAR, scalar_point(0.6)
+        else:
+            Q = NcMatrixPolynomial.row_pencil(2)
+            Z0 = sample_in_domain(Q, 2, rng, 0.5)
+        k, delta = 2, 0.3
+        N = k * Z0.n
+        shift = interpolation._slab_shift(Q, Z0, k, delta)
+        shifted = 0
+        for _ in range(100):
+            G = complex_gaussian(rng, (N, N))
+            P0 = G + G.conj().T  # indefinite, so most draws need a shift
+            s = shift(P0)
+            assert min(stein_hypothesis_margins(Q, Z0, k, delta, P0 + s * np.eye(N))) >= -1e-12
+            if s > 0:
+                shifted += 1
+                below = P0 + (s - 1e-9 * max(1.0, s)) * np.eye(N)
+                assert min(stein_hypothesis_margins(Q, Z0, k, delta, below)) < -1e-12
+        assert shifted >= 75
+
+    def test_identity_outside_the_slab(self):
+        # |Q(Z0)|^2 = 0.81 exceeds 1 - delta^2 = 0.75, so b(I) < 0 and there is
+        # nothing to shift toward; at delta = 0.1 the same value is refuted
+        z0, lam = scalar_point(0.9), 1.5 * np.eye(1)
+        assert interpolation._slab_shift(Z_SCALAR, z0, 1, 0.5) is None
+        assert strict_stein_refuter(Z_SCALAR, z0, lam, delta=0.5, trials=10) is None
+        assert strict_stein_refuter(Z_SCALAR, z0, lam, delta=0.1, trials=10) is not None

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpick.core import (
+    DimensionMismatchError,
     DomainError,
     NcMatrixPolynomial,
     _eval_poly,
@@ -24,9 +25,9 @@ from ncpick.realization import (
     random_contractive_colligation,
     transfer_eval,
 )
-from ncpick.sampling import complex_gaussian, sample_in_domain
+from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
-from conftest import einsum_state_maps, mt, scalar_point
+from conftest import agler_residual, einsum_state_maps, mt, scalar_point
 
 
 def mobius_colligation(a: float) -> Colligation:
@@ -148,6 +149,26 @@ class TestTransferEval:
                 assert operator_norm(transfer_eval(f, Z)) <= 1 + 1e-9
 
 
+class TestAglerDecomposition:
+    @given(r=st.integers(1, 3), X=st.integers(1, 3), y=st.integers(1, 2), d=st.integers(1, 2),
+           levels=st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 1), (1, 3)]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_unitary_colligation_has_zero_defect(self, r, X, y, d, levels, seed):
+        # a unitary U makes the Agler decomposition exact at every pair of
+        # levels n != m; S comes from the production transfer function
+        rng = np.random.default_rng(seed)
+        u = r * X + y - X
+        col = random_contractive_colligation(X, u, y, r, seed=seed, unitary=True)
+        Q0 = random_row_poly(rng, d, r, degree=2)
+        f = RealizedFunction(col, Q0)
+        Z, W = (sample_in_domain(Q0, lev, rng, 0.8) for lev in levels)
+        P = complex_gaussian(rng, levels)
+        res = agler_residual(col, _eval_poly(Q0, Z), _eval_poly(Q0, W),
+                             transfer_eval(f, Z), transfer_eval(f, W), P)
+        assert operator_norm(res) <= 1e-10 * operator_norm(P)
+
+
 class TestContractionCheck:
     def test_unitary_passes_with_zero_margin(self):
         col = random_contractive_colligation(2, 2, 2, 1, seed=8, unitary=True)
@@ -162,6 +183,19 @@ class TestContractionCheck:
         for seed in range(30):
             col = random_contractive_colligation(3, 2, 1, 2, seed=seed)
             assert colligation_contraction_check(col).is_psd
+
+
+class TestColligationShapes:
+    @pytest.mark.parametrize("block, shape", [("A", (1, 4)), ("A", (4, 1)), ("B", (3, 2)),
+                                              ("B", (1, 6)), ("C", (2, 1)), ("D", (3, 1))])
+    def test_block_taken_at_its_exact_shape(self, block, shape):
+        # dimX = 2, dimU = 3, dimY = 1, r = 1: a block with the right entry
+        # count in another shape (a row, a transpose) is refused, not reshaped
+        blocks = {"A": np.zeros((2, 2)), "B": np.zeros((2, 3)), "C": np.zeros((1, 2)),
+                  "D": np.zeros((1, 3))}
+        blocks[block] = np.arange(shape[0] * shape[1]).reshape(shape)
+        with pytest.raises(DimensionMismatchError, match=f"block {block}"):
+            Colligation(2, 3, 1, 1, **blocks)
 
 
 class TestRandomColligation:
