@@ -27,7 +27,6 @@ from .envelopes import (
     EnvelopeWitness,
     JordanData,
     full_envelope_membership,
-    hermite_separating_poly,
     jordan_spectral_data,
     nc_envelope_point,
     similarity_envelope_membership,

@@ -8,14 +8,19 @@ combinations: injective solutions form a Zariski-open subset, so a random
 element is injective with probability one whenever any is.
 
 For one variable the full envelope coincides with the set of matrices whose
-Jordan data is dominated by the generators'; non-members come with an
-explicitly constructed separating polynomial that vanishes on the
-generators but not at the point.
+Jordan data is dominated by the generators'.  The eigenvalues of the point
+and of every generator are clustered once, together (single linkage at
+``CLUSTER_TOL``), and each matrix's longest Jordan chain is read per
+cluster.  A non-member comes with the separating polynomial
+prod_c (z - lambda_c)^(g_c) over the generator clusters, which vanishes on
+the generators but not at the point; it is built from its roots, with no
+linear solve.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +42,6 @@ __all__ = [
     "similarity_envelope_membership",
     "jordan_spectral_data",
     "zariski_membership_d1",
-    "hermite_separating_poly",
 ]
 
 #: Random combinations drawn when hunting for an injective nullspace element.
@@ -206,129 +210,82 @@ def similarity_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[Mat
     return _envelope_search(Ztilde, generators, max_multiplicity, seed, "similarity")
 
 
-def _cluster(values: np.ndarray, tol: float) -> tuple[list[list[int]], bool]:
-    """Single-linkage clusters of complex values at absolute tolerance tol."""
-    order = np.lexsort((values.imag, values.real))
-    clusters: list[list[int]] = []
-    for idx in order:
-        placed = False
-        for cl in clusters:
-            if any(abs(values[idx] - values[j]) <= tol for j in cl):
-                cl.append(int(idx))
-                placed = True
-                break
-        if not placed:
-            clusters.append([int(idx)])
-    ambiguous = False
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            gap = min(abs(values[i] - values[j]) for i in clusters[a] for j in clusters[b])
-            if gap < 10 * tol:
-                ambiguous = True
-    return clusters, ambiguous
+def _cluster(values: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """Single-linkage clusters: connected components of |v_i - v_j| <= tol.
+
+    Returns one boolean mask over the values per cluster, and whether two
+    clusters come closer than ten times tol.
+    """
+    dist = np.abs(values[:, None] - values[None, :])
+    linked = dist <= tol
+    while True:  # path doubling up to the transitive closure
+        reach = linked @ linked
+        if np.array_equal(reach, linked):
+            break
+        linked = reach
+    return np.unique(linked, axis=0), bool(np.any((dist < 10 * tol) & ~linked))
+
+
+def _chain_length(A: np.ndarray, lam: complex) -> int:
+    """Longest Jordan chain of A at lam: where the nullity of (A - lam I)^k stops growing.
+
+    Numerical rank is taken at ``JORDAN_RANK_TOL`` relative to the
+    corresponding power of ||A - lam I||.
+    """
+    n = A.shape[0]
+    base = A - lam * np.eye(n)
+    base_norm = max(np.linalg.norm(base, 2), 1e-300)
+    power = np.eye(n, dtype=complex)
+    nullity = 0
+    for k in range(1, n + 1):
+        power = power @ base
+        svals = np.linalg.svd(power, compute_uv=False)
+        grown = n - int(np.sum(svals > JORDAN_RANK_TOL * base_norm ** k))
+        if grown == nullity:
+            return max(k - 1, 1)
+        nullity = grown
+    return n
+
+
+def _jordan_clusters(matrices: Sequence, tol: float,
+                     ) -> tuple[list[list[tuple[complex, int, int] | None]], bool]:
+    """Jordan data of square matrices over one clustering of their pooled eigenvalues.
+
+    Each cluster, in (real, imag) order of its pooled mean, lists per matrix
+    the (mean, chain length, multiplicity) of that matrix's eigenvalues in
+    it, or None where it has none; the flag is ``_cluster``'s.
+    """
+    As = [np.asarray(M, dtype=complex) for M in matrices]
+    for A in As:
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise DimensionMismatchError("need a square matrix")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("matrix has non-finite entries")
+    eigs = [np.linalg.eigvals(A) for A in As]
+    pooled = np.concatenate(eigs)
+    owner = np.repeat(np.arange(len(As)), [e.size for e in eigs])
+    masks, ambiguous = _cluster(pooled, tol)
+    clusters = []
+    for inside in masks:
+        row: list[tuple[complex, int, int] | None] = [None] * len(As)
+        for m in np.unique(owner[inside]):
+            vals = pooled[inside & (owner == m)]
+            lam = complex(vals.mean())
+            row[m] = (lam, _chain_length(As[m], lam), vals.size)
+        mean = pooled[inside].mean()
+        clusters.append(((mean.real, mean.imag), row))
+    return [row for _, row in sorted(clusters, key=lambda c: c[0])], ambiguous
 
 
 def jordan_spectral_data(M, cluster_tol: float = CLUSTER_TOL) -> JordanData:
     """Eigenvalue clusters of a matrix with maximal Jordan chain lengths.
 
     Chain lengths come from the stabilization of nullities of powers of
-    M - lambda I, with numerical rank taken at ``JORDAN_RANK_TOL`` relative
-    to the corresponding power of the base norm.
+    M - lambda I (``_chain_length``) at each cluster's mean.
     """
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError("need a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    n = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    clusters, ambiguous = _cluster(eigs, cluster_tol)
-    lams, chains, mults = [], [], []
-    for cl in clusters:
-        lam = complex(np.mean(eigs[cl]))
-        base = A - lam * np.eye(n)
-        base_norm = max(np.linalg.norm(base, 2), 1e-300)
-        power = np.eye(n, dtype=complex)
-        nullities = [0]
-        for k in range(1, n + 1):
-            power = power @ base
-            svals = np.linalg.svd(power, compute_uv=False)
-            thresh = JORDAN_RANK_TOL * base_norm ** k
-            rank = int(np.sum(svals > thresh))
-            nullities.append(n - rank)
-            if nullities[-1] == nullities[-2]:
-                break
-        chain = next(
-            k for k in range(1, len(nullities)) if k + 1 >= len(nullities)
-            or nullities[k] == nullities[k + 1]
-        )
-        lams.append(lam)
-        chains.append(chain)
-        mults.append(len(cl))
-    order = np.lexsort((np.imag(lams), np.real(lams)))
-    return JordanData(
-        eigenvalues=tuple(lams[i] for i in order),
-        chain_lengths=tuple(chains[i] for i in order),
-        multiplicities=tuple(mults[i] for i in order),
-        ambiguous=ambiguous,
-    )
-
-
-def hermite_separating_poly(
-    constraints: Sequence[tuple[complex, Sequence[int], int | None]],
-) -> NcMatrixPolynomial:
-    """Minimal-degree polynomial meeting derivative constraints at nodes.
-
-    Each constraint is (lambda, vanish_orders, nonvanish_order): the
-    polynomial must satisfy p^(k)(lambda) = 0 for every listed vanish
-    order, and p^(k0)(lambda) = 1 for the optional nonvanish order (at
-    most one across all constraints; without one the polynomial is
-    normalized monic instead).  Solved via a confluent Vandermonde system.
-    """
-    nonvanish = [(lam, k0) for lam, _, k0 in constraints if k0 is not None]
-    if len(nonvanish) > 1:
-        raise ValueError("at most one nonvanish constraint")
-    for lam, orders, k0 in constraints:
-        if k0 is not None and k0 in set(orders):
-            raise ValueError("vanish and nonvanish requested at the same order")
-    lams = [complex(lam) for lam, _, _ in constraints]
-    if len({(round(l.real, 12), round(l.imag, 12)) for l in lams}) != len(lams):
-        raise ValueError("constraint nodes must be distinct")
-    n_vanish = sum(len(orders) for _, orders, _ in constraints)
-    deg = n_vanish
-    ncoef = deg + 1
-
-    def deriv_row(lam: complex, k: int) -> np.ndarray:
-        row = np.zeros(ncoef, dtype=complex)
-        for j in range(k, ncoef):
-            fall = 1.0
-            for t in range(k):
-                fall *= j - t
-            row[j] = fall * lam ** (j - k)
-        return row
-
-    rows, rhs = [], []
-    for lam, orders, _ in constraints:
-        for k in orders:
-            rows.append(deriv_row(lam, k))
-            rhs.append(0.0)
-    if nonvanish:
-        lam0, k0 = nonvanish[0]
-        rows.append(deriv_row(complex(lam0), k0))
-        rhs.append(1.0)
-    else:
-        lead = np.zeros(ncoef, dtype=complex)
-        lead[-1] = 1.0
-        rows.append(lead)
-        rhs.append(1.0)
-    system = np.vstack(rows)
-    if system.shape[0] != ncoef:
-        raise ValueError("constraint count does not match the minimal degree")
-    try:
-        coeffs = np.linalg.solve(system, np.asarray(rhs, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("inconsistent Hermite constraints") from exc
-    return NcMatrixPolynomial.scalar_univariate(coeffs)
+    clusters, ambiguous = _jordan_clusters([M], cluster_tol)
+    lams, chains, mults = zip(*(data for data, in clusters)) if clusters else ((), (), ())
+    return JordanData(lams, chains, mults, ambiguous)
 
 
 def zariski_membership_d1(Ztilde, Omega_F: Sequence, cluster_tol: float = CLUSTER_TOL,
@@ -337,48 +294,33 @@ def zariski_membership_d1(Ztilde, Omega_F: Sequence, cluster_tol: float = CLUSTE
 
     Ztilde belongs to the closure of a finite set of matrices iff every
     eigenvalue of Ztilde appears among the generators with at least the
-    same maximal chain length.  For non-members the returned polynomial
-    vanishes on every generator (to the pooled chain order) while its
-    value at Ztilde is nonzero; the certifying derivative is normalized
-    to one.
+    same maximal chain length.  The eigenvalues of Ztilde and of every
+    generator are clustered once, together.  For non-members the returned
+    polynomial is p = prod_c (z - lambda_c)^(g_c) over the generator
+    clusters (eigenvalue mean lambda_c, longest chain g_c), so it vanishes
+    on every generator.  At the first cluster where Ztilde's chain exceeds
+    the generators' g0 (zero where they have no eigenvalue; lambda0 is then
+    Ztilde's mean), p^(g0)(lambda0) = g0! prod_{c != c0} (lambda0 - lambda_c)^(g_c)
+    is nonzero, and p is divided by it.
     """
     if not Omega_F:
         raise ValueError("need at least one generator matrix")
-    data_Z = jordan_spectral_data(Ztilde, cluster_tol)
-    pool_vals: list[complex] = []
-    pool_chains: list[int] = []
-    for W in Omega_F:
-        dW = jordan_spectral_data(W, cluster_tol)
-        for lam, ch in dW.as_pairs():
-            for i, mu in enumerate(pool_vals):
-                if abs(lam - mu) <= cluster_tol:
-                    pool_chains[i] = max(pool_chains[i], ch)
-                    break
-            else:
-                pool_vals.append(lam)
-                pool_chains.append(ch)
-
-    offender: tuple[complex, int] | None = None
-    for mu, ch in data_Z.as_pairs():
-        hit = next((i for i, lam in enumerate(pool_vals) if abs(lam - mu) <= cluster_tol), None)
-        if hit is None:
-            offender = (mu, 0)
-            break
-        if ch > pool_chains[hit]:
-            offender = (pool_vals[hit], pool_chains[hit])
-            break
+    clusters, _ = _jordan_clusters([Ztilde, *Omega_F], cluster_tol)
+    factors: list[tuple[complex, int]] = []  # (lambda_c, g_c) per generator cluster
+    offender = None  # (lambda0, g0, index of its factor or None)
+    for own, *gens in clusters:
+        present = [g for g in gens if g is not None]
+        if present:
+            mean = sum(mu * m for mu, _, m in present) / sum(m for *_, m in present)
+            factors.append((mean, max(chain for _, chain, _ in present)))
+        lam, order = factors[-1] if present else (own[0], 0)
+        if offender is None and own is not None and own[1] > order:
+            offender = (lam, order, len(factors) - 1 if present else None)
     if offender is None:
         return True, None
-
-    lam0, k0 = offender
-    constraints: list[tuple[complex, Sequence[int], int | None]] = []
-    used_offender = False
-    for lam, ch in zip(pool_vals, pool_chains):
-        if abs(lam - lam0) <= cluster_tol:
-            constraints.append((lam, list(range(ch)), k0))
-            used_offender = True
-        else:
-            constraints.append((lam, list(range(ch)), None))
-    if not used_offender:
-        constraints.append((lam0, [], 0))
-    return False, hermite_separating_poly(constraints)
+    lam0, g0, c0 = offender
+    scale = math.factorial(g0) * math.prod(
+        (lam0 - lam) ** g for c, (lam, g) in enumerate(factors) if c != c0)
+    roots = [lam for lam, g in factors for _ in range(g)]
+    coeffs = np.atleast_1d(np.poly(roots))[::-1] / scale  # np.poly([]) is the scalar 1.0
+    return False, NcMatrixPolynomial.scalar_univariate(coeffs)

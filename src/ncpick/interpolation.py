@@ -346,9 +346,9 @@ def strict_stein_refuter(Q: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0,
     for _ in range(trials):
         G = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         P0 = G @ G.conj().T
-        P0 /= max(float(np.linalg.norm(P0, 2)), 1e-300)
-        cand = P0 + shift(P0) * eyeN
-        scale = max(1.0, float(np.linalg.norm(cand, 2)))
-        if violation(cand) < -PSD_REL_TOL * scale:
+        P0 /= np.linalg.eigvalsh(P0)[-1]  # a Gram matrix's norm is its top eigenvalue
+        s = shift(P0)
+        cand = P0 + s * eyeN
+        if violation(cand) < -PSD_REL_TOL * (1.0 + s):  # ||P0 + s I|| = 1 + s
             return cand
     return None

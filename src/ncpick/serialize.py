@@ -186,21 +186,27 @@ def encode_colligation(col: Colligation) -> dict:
     }
 
 
-def _decode_block(obj, shape) -> np.ndarray:
-    if obj == [] or obj is None:
+def _decode_block(obj, name: str, shape) -> np.ndarray:
+    """A colligation block; missing or ``[]`` reads as zeros only for a shape with a zero side."""
+    if obj in ([], None):
+        if 0 not in shape:
+            raise ValueError(f"block {name} of shape {shape} is missing")
         return np.zeros(shape, dtype=complex)
     M = decode_matrix(obj)
     if M.shape != shape:
-        raise ValueError(f"block has shape {M.shape}, expected {shape}")
+        raise ValueError(f"block {name} has shape {M.shape}, expected {shape}")
     return M
 
 
 def decode_colligation(obj: Mapping[str, Any]) -> Colligation:
     dimX, dimU, dimY, r = (_integer(obj[key], key) for key in ("dimX", "dimU", "dimY", "r"))
     shapes = {"A": (r * dimX, dimX), "B": (r * dimX, dimU), "C": (dimY, dimX), "D": (dimY, dimU)}
+    flags = obj.get("flags", [])
+    if not isinstance(flags, list) or any(f not in ("contractive", "unitary") for f in flags):
+        raise ValueError(f'flags must be a list of "contractive" and "unitary", got {flags!r}')
     return Colligation(dimX, dimU, dimY, r,
-                       *(_decode_block(obj.get(key), shape) for key, shape in shapes.items()),
-                       flags=tuple(obj.get("flags", ())))
+                       *(_decode_block(obj.get(key), key, shape) for key, shape in shapes.items()),
+                       flags=tuple(flags))
 
 
 def encode_certificate(cert: PsdCertificate) -> dict:

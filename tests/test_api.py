@@ -1,6 +1,6 @@
 """Public names resolve, the traced benchmark still finds what it wraps, the
 settable values of the public API are budgeted, and dense solves stay in
-their two places."""
+one place."""
 
 import ast
 import importlib
@@ -168,8 +168,8 @@ def test_solve_sites_detected():
 
 
 def test_one_identity_minus_solve():
-    # every I - Phi and I - G system goes through kernels._stein_solve; the
-    # only other dense solve is the Hermite interpolation system
+    # every I - Phi and I - G system goes through kernels._stein_solve, and
+    # nothing else in the package makes a dense solve
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in solve_sites(path.read_text(encoding="utf-8"), path.stem)]
-    assert sites == ["envelopes.hermite_separating_poly", "kernels._stein_solve"]
+    assert sites == ["kernels._stein_solve"]

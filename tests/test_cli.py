@@ -12,13 +12,15 @@ import ncpick
 from ncpick.cli import main
 from ncpick.interpolation import stein_dominance_certificate
 from ncpick.kernels import cp_check_finite
-from ncpick.realization import RealizedFunction, random_contractive_colligation, transfer_eval
+from ncpick.realization import Colligation, RealizedFunction, random_contractive_colligation, \
+    transfer_eval
 from ncpick.sampling import sample_in_domain
 from ncpick.serialize import (
     decode_colligation,
     decode_matrix,
     encode_certificate,
     encode_choi,
+    encode_colligation,
     encode_matrix,
     encode_poly,
     encode_tuple,
@@ -414,6 +416,41 @@ class TestErrors:
         payload = {"Q": {**Z_POLY, "d": 1.0, "terms": [{"word": [1.0], "coeff": [[[1.0, 0.0]]]}]},
                    "Z": encode_tuple(scalar_point(0.5))}
         code, doc, _ = run_cli(["eval"], payload, capsys, monkeypatch)
+        assert code == 0 and doc["value"] == [[[0.5, 0.0]]]
+
+    @pytest.mark.parametrize("flags, message", [
+        # a string is not a list of flags, and an unknown flag is not ignored
+        ("unitary", "flags must be a list of \"contractive\" and \"unitary\", got 'unitary'"),
+        (["bogus"], "flags must be a list of \"contractive\" and \"unitary\", got ['bogus']"),
+        (["unitary"], "colligation flagged unitary is not unitary"),
+    ], ids=["string", "unknown-flag", "not-unitary"])
+    def test_colligation_flags_checked(self, capsys, monkeypatch, flags, message):
+        col = {"dimX": 1, "dimU": 1, "dimY": 1, "r": 1, "A": [[[0.5, 0.0]]], "B": [[[0.0, 0.0]]],
+               "C": [[[0.0, 0.0]]], "D": [[[0.5, 0.0]]], "flags": flags}
+        payload = {"colligation": col, "Q0": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
+        code, doc, _ = run_cli(["realize-eval"], payload, capsys, monkeypatch)
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("block", [None, []], ids=["missing", "empty"])
+    def test_colligation_blocks_required(self, capsys, monkeypatch, block):
+        # a block may be left out only where its shape has a zero side
+        col = {"dimX": 1, "dimU": 1, "dimY": 1, "r": 1, "D": [[[0.5, 0.0]]]}
+        col.update({} if block is None else {"A": block, "B": block, "C": block})
+        payload = {"colligation": col, "Q0": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
+        code, doc, _ = run_cli(["realize-eval"], payload, capsys, monkeypatch)
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError",
+                                "message": "block A of shape (1, 1) is missing"}
+
+    def test_stateless_colligation_round_trips(self, capsys, monkeypatch):
+        # encode_colligation writes [] for the empty blocks of dimX = 0
+        col = Colligation(0, 1, 1, 1, np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+                          [[0.5]], flags=("contractive",))
+        encoded = encode_colligation(col)
+        assert encoded["A"] == encoded["B"] == encoded["C"] == []
+        payload = {"colligation": encoded, "Q0": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
+        code, doc, _ = run_cli(["realize-eval"], payload, capsys, monkeypatch)
         assert code == 0 and doc["value"] == [[[0.5, 0.0]]]
 
     def test_params_echoed(self, capsys, monkeypatch):

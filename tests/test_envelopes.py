@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from ncpick import envelopes
 from ncpick.core import _eval_poly, similarity
 from ncpick.envelopes import (
     full_envelope_membership,
-    hermite_separating_poly,
     intertwiner_space,
     jordan_spectral_data,
     nc_envelope_point,
@@ -12,7 +12,7 @@ from ncpick.envelopes import (
     zariski_membership_d1,
 )
 
-from conftest import block_diag, jordan_cell, mt
+from conftest import block_diag, count_calls, jordan_cell, mt
 
 
 def eval_d1(poly, M):
@@ -165,43 +165,12 @@ class TestJordanData:
         data = jordan_spectral_data(np.diag([0.0, 5e-8]), cluster_tol=1e-8)
         assert data.ambiguous
 
-
-class TestHermite:
-    def test_simple_root(self):
-        p = hermite_separating_poly([(0.0, [0], None), (1.0, [], 0)])
-        assert abs(poly_derivative_at(p, 0.0, 0)) <= 1e-12
-        assert poly_derivative_at(p, 1.0, 0) == pytest.approx(1.0)
-        assert p.degree == 1
-
-    def test_double_root_normalized_second_derivative(self):
-        p = hermite_separating_poly([(0.0, [0, 1], 2)])
-        assert abs(poly_derivative_at(p, 0.0, 0)) <= 1e-12
-        assert abs(poly_derivative_at(p, 0.0, 1)) <= 1e-12
-        assert poly_derivative_at(p, 0.0, 2) == pytest.approx(1.0)
-        # proportional to z^2
-        assert p.degree == 2
-
-    def test_random_constraint_sets_verified(self, rng):
-        for _ in range(10):
-            lams = rng.choice([-1.0, -0.25, 0.5, 1.25], size=3, replace=False)
-            orders = [list(range(int(rng.integers(1, 3)))) for _ in range(3)]
-            k0 = len(orders[0])
-            constraints = [(lams[0], orders[0], k0)] + [
-                (lams[i], orders[i], None) for i in (1, 2)
-            ]
-            p = hermite_separating_poly(constraints)
-            for lam, orders_i, _ in constraints:
-                for k in orders_i:
-                    assert abs(poly_derivative_at(p, lam, k)) <= 1e-8
-            assert poly_derivative_at(p, lams[0], k0) == pytest.approx(1.0, abs=1e-8)
-
-    def test_conflicting_constraints_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_separating_poly([(0.0, [0, 1], 1)])
-
-    def test_two_nonvanish_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_separating_poly([(0.0, [], 0), (1.0, [], 0)])
+    def test_bridging_value_joins_one_cluster(self):
+        # 0 and 1.5e-8i are 1.5 tol apart, and the third value lies within tol
+        # of both: single linkage makes one cluster, with no near miss
+        data = jordan_spectral_data(np.diag([0.0, 1.5e-8j, 1e-9 + 7.5e-9j]), cluster_tol=1e-8)
+        assert data.multiplicities == (3,)
+        assert not data.ambiguous
 
 
 class TestZariski:
@@ -247,6 +216,41 @@ class TestZariski:
                 mt(Zt), [mt(gen)], max_multiplicity=Zt.shape[0], seed=trial
             )
             assert member_z == (w is not None)
+
+    @pytest.mark.parametrize("Zt, gens, lam0, g0, coeffs", [
+        # one cluster, Ztilde's chain 3 beats the generator's 2: z^2 / 2!
+        (jordan_cell(0, 3), [jordan_cell(0, 2)], 0.0, 2, {2: 0.5}),
+        # a new eigenvalue 2: z (z - 1) / ((2 - 0) (2 - 1))
+        (np.array([[2.0]]), [np.diag([0.0, 1.0])], 2.0, 0, {1: -0.5, 2: 0.5}),
+    ], ids=["deeper-chain", "new-eigenvalue"])
+    def test_separating_poly_is_the_root_product(self, Zt, gens, lam0, g0, coeffs):
+        member, p0 = zariski_membership_d1(Zt, gens)
+        assert not member
+        got = {len(w): complex(c[0, 0]) for w, c in p0.terms.items() if c[0, 0] != 0}
+        assert got.keys() == coeffs.keys()
+        assert all(got[k] == pytest.approx(v, abs=1e-15) for k, v in coeffs.items())
+        assert poly_derivative_at(p0, lam0, g0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_clustering_per_call(self, monkeypatch, rng):
+        clusterings = count_calls(monkeypatch, envelopes, "_cluster")
+        gens = [_random_jordan(rng, [-0.5, 0.5], max_dim=3) for _ in range(3)]
+        for Zt in (jordan_cell(0.5, 2), gens[0]):
+            clusterings.clear()
+            zariski_membership_d1(Zt, gens, cluster_tol=1e-3)
+            assert len(clusterings) == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_split_jordan_block_vanishes_at_default_tol(self, seed):
+        # at the default tol the rounding-split eigenvalues of a conjugated 4x4
+        # Jordan block are four clusters; the root product still vanishes on it
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        G = U @ jordan_cell(-0.75, 4) @ U.conj().T
+        member, p0 = zariski_membership_d1(np.array([[0.8]]), [G])
+        assert not member
+        scale = max(1.0, max(abs(c[0, 0]) for c in p0.terms.values()))
+        assert np.linalg.norm(eval_d1(p0, G), 2) <= 1e-12 * scale
+        assert abs(eval_d1(p0, np.array([[0.8]]))[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def _random_jordan(rng, pool, max_dim):
