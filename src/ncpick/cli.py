@@ -1,9 +1,12 @@
 """Command-line front end: JSON in, certificates and reports out.
 
-Exit codes: 0 for success / feasible / member, 1 for a well-posed negative
-answer, 2 for input or runtime errors.  stdout carries exactly one JSON
-document; diagnostics go to stderr.  Identical input with identical flags
-produces byte-identical stdout.
+``_COMMANDS`` lists each command's handler and the options it reads; a
+command takes only those and echoes them under ``params``.  ``main`` parses
+the arguments, reads the input, calls the handler and writes one JSON
+document to stdout; diagnostics go to stderr.  Exit codes: 0 for success /
+feasible / member, 1 for a well-posed negative answer, 2 for argument,
+input or runtime errors, each answered with the error document.  Identical
+input with identical flags produces byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _holds_text(obj) -> bool:
@@ -66,9 +69,11 @@ def _holds_text(obj) -> bool:
 def _dumps(obj) -> str:
     """Compact sorted-key JSON that writes ``JsonText`` dict values verbatim.
 
-    Equals ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with
-    each ``JsonText`` in place of the value it encodes.  Only dicts that
-    hold one are walked here; anything else goes to ``json`` in one call.
+    Equals ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)`` with each ``JsonText`` in place of the value it
+    encodes, so a result that overflowed to inf or NaN raises ``ValueError``
+    rather than print non-JSON.  Only dicts that hold a ``JsonText`` are
+    walked here; anything else goes to ``json`` in one call.
     """
     if isinstance(obj, JsonText):
         return obj.text
@@ -77,19 +82,9 @@ def _dumps(obj) -> str:
     return "{" + ",".join(f"{_SORTED.encode(k)}:{_dumps(obj[k])}" for k in sorted(obj)) + "}"
 
 
-def _emit(payload: dict, params: dict) -> None:
-    payload = {"v": SCHEMA_VERSION, **payload, "params": params}
-    sys.stdout.write(_dumps(payload) + "\n")
-
-
-def _params(args: argparse.Namespace) -> dict:
-    keep = ("tol", "seed", "max_multiplicity", "truncation_L", "samples")
-    return {k: getattr(args, k) for k in keep if getattr(args, k, None) is not None}
-
-
-def _read_input(args: argparse.Namespace) -> dict:
-    if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
+def _read_input(path: str) -> dict:
+    if path and path != "-":
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
@@ -99,26 +94,21 @@ def _read_input(args: argparse.Namespace) -> dict:
     return obj
 
 
-def _cmd_eval(args) -> int:
-    obj = _read_input(args)
+def _cmd_eval(obj, args) -> tuple[dict, bool]:
     Q = decode_poly(obj["Q"])
     Z = decode_tuple(obj["Z"])
-    _emit({"value": encode_matrix(eval_nc_poly(Q, Z))}, _params(args))
-    return EXIT_OK
+    return {"value": encode_matrix(eval_nc_poly(Q, Z))}, True
 
 
-def _cmd_domain_check(args) -> int:
-    obj = _read_input(args)
+def _cmd_domain_check(obj, args) -> tuple[dict, bool]:
     Q = decode_poly(obj["Q"])
     Z = decode_tuple(obj["Z"])
     m = domain_margin(Q, Z)
     inside = bool(m > 0.0)
-    _emit({"in_domain": inside, "margin": m}, _params(args))
-    return EXIT_OK if inside else EXIT_NEGATIVE
+    return {"in_domain": inside, "margin": m}, inside
 
 
-def _cmd_envelope(args) -> int:
-    obj = _read_input(args)
+def _cmd_envelope(obj, args) -> tuple[dict, bool]:
     Zt = decode_tuple(obj["Ztilde"])
     gens = [decode_tuple(g) for g in obj["generators"]]
     kind = obj.get("kind", "full")
@@ -127,31 +117,24 @@ def _cmd_envelope(args) -> int:
     if search is None:
         raise ValueError(f"unknown envelope kind {kind!r}")
     w = search(Zt, gens, max_multiplicity=args.max_multiplicity, seed=args.seed)
-    _emit({"member": w is not None, "witness": encode_witness(w) if w else None},
-          _params(args))
-    return EXIT_OK if w is not None else EXIT_NEGATIVE
+    return {"member": w is not None, "witness": encode_witness(w) if w else None}, w is not None
 
 
-def _cmd_zariski(args) -> int:
-    obj = _read_input(args)
+def _cmd_zariski(obj, args) -> tuple[dict, bool]:
     Zt = decode_matrix(obj["Ztilde"])
     omega = [decode_matrix(W) for W in obj["Omega_F"]]
     member, poly = zariski_membership_d1(Zt, omega)
-    _emit({"member": member, "separating_poly": encode_poly(poly) if poly else None},
-          _params(args))
-    return EXIT_OK if member else EXIT_NEGATIVE
+    return {"member": member, "separating_poly": encode_poly(poly) if poly else None}, member
 
 
-def _cmd_cp_check(args) -> int:
-    obj = _read_input(args)
+def _cmd_cp_check(obj, args) -> tuple[dict, bool]:
     Q0 = decode_poly(obj["Q0"])
     points = [decode_tuple(p) for p in obj["points"]]
     cert, choi = cp_check_finite(Q0, points, rel_tol=args.tol)
     # the fields of serialize.encode_choi, with the matrix written as JSON text
-    _emit({"certificate": encode_certificate(cert),
-           "choi": {"n": choi.n, "block_dim": choi.block_dim,
-                    "matrix": matrix_json(choi.matrix)}}, _params(args))
-    return EXIT_OK if cert.is_psd else EXIT_NEGATIVE
+    return {"certificate": encode_certificate(cert),
+            "choi": {"n": choi.n, "block_dim": choi.block_dim,
+                     "matrix": matrix_json(choi.matrix)}}, cert.is_psd
 
 
 def _decode_pick(obj) -> PickProblem:
@@ -163,16 +146,13 @@ def _decode_pick(obj) -> PickProblem:
     )
 
 
-def _cmd_pick_check(args) -> int:
-    p = _decode_pick(_read_input(args))
-    cert, _ = pick_certificate(p, rel_tol=args.tol)
-    _emit({"certificate": encode_certificate(cert)}, _params(args))
-    return EXIT_OK if cert.is_psd else EXIT_NEGATIVE
+def _cmd_pick_check(obj, args) -> tuple[dict, bool]:
+    cert, _ = pick_certificate(_decode_pick(obj), rel_tol=args.tol)
+    return {"certificate": encode_certificate(cert)}, cert.is_psd
 
 
-def _cmd_pick_solve(args) -> int:
-    p = _decode_pick(_read_input(args))
-    rep = solve_pick(p, tol=args.tol, samples=args.samples, seed=args.seed)
+def _cmd_pick_solve(obj, args) -> tuple[dict, bool]:
+    rep = solve_pick(_decode_pick(obj), tol=args.tol, samples=args.samples, seed=args.seed)
     out = {
         "verdict": rep.certificate.verdict,
         "min_eig": float(rep.certificate.min_eig),
@@ -182,48 +162,38 @@ def _cmd_pick_solve(args) -> int:
         out["colligation"] = encode_colligation(rep.colligation)
         out["interp_residual"] = float(rep.interp_residual)
         out["contractivity_samples"] = [float(x) for x in rep.contractivity_samples]
-    _emit(out, _params(args))
-    return EXIT_OK if rep.feasible else EXIT_NEGATIVE
+    return out, rep.feasible
 
 
-def _cmd_ltoa_check(args) -> int:
-    obj = _read_input(args)
+def _cmd_ltoa_check(obj, args) -> tuple[dict, bool]:
     p = LtoaProblem(decode_tuple(obj["Z0"]), decode_matrix(obj["X"]), decode_matrix(obj["Y"]))
     cert = ltoa_certificate(p, rel_tol=args.tol)
-    _emit({"certificate": encode_certificate(cert)}, _params(args))
-    return EXIT_OK if cert.is_psd else EXIT_NEGATIVE
+    return {"certificate": encode_certificate(cert)}, cert.is_psd
 
 
-def _cmd_stein_check(args) -> int:
-    obj = _read_input(args)
+def _cmd_stein_check(obj, args) -> tuple[dict, bool]:
     cert = stein_dominance_certificate(
         decode_poly(obj["Q0"]),
         decode_tuple(obj["Z0"]),
         decode_matrix(obj["Lambda0"]),
         rel_tol=args.tol,
     )
-    _emit({"certificate": encode_certificate(cert)}, _params(args))
-    return EXIT_OK if cert.is_psd else EXIT_NEGATIVE
+    return {"certificate": encode_certificate(cert)}, cert.is_psd
 
 
-def _cmd_realize_eval(args) -> int:
-    obj = _read_input(args)
+def _cmd_realize_eval(obj, args) -> tuple[dict, bool]:
     f = RealizedFunction(decode_colligation(obj["colligation"]), decode_poly(obj["Q0"]))
-    val = transfer_eval(f, decode_tuple(obj["Z"]))
-    _emit({"value": encode_matrix(val)}, _params(args))
-    return EXIT_OK
+    return {"value": encode_matrix(transfer_eval(f, decode_tuple(obj["Z"])))}, True
 
 
-def _cmd_okaweil(args) -> int:
-    obj = _read_input(args)
+def _cmd_okaweil(obj, args) -> tuple[dict, bool]:
     f = RealizedFunction(decode_colligation(obj["colligation"]), decode_poly(obj["Q0"]))
     samples = [decode_tuple(Z) for Z in obj["samples"]]
     rep = uniform_error_report(f, samples, args.truncation_L)
-    _emit({"report": encode_truncation_report(rep)}, _params(args))
-    return EXIT_OK
+    return {"report": encode_truncation_report(rep)}, True
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(obj, args) -> tuple[dict, bool]:
     results = {}
 
     z = NcMatrixPolynomial.scalar_univariate([0, 1])
@@ -248,65 +218,79 @@ def _cmd_selftest(args) -> int:
     results["infeasible_detected"] = not cert_bad.is_psd
 
     ok = all(results.values())
-    _emit({"passed": ok, "checks": results}, _params(args))
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return {"passed": ok, "checks": results}, ok
 
 
+# Each command's handler and the options it reads, the only ones it takes and
+# echoes under "params".  A handler maps the decoded input (None for selftest)
+# and the parsed options to its payload and a verdict, exit 0 or 1.
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "domain-check": _cmd_domain_check,
-    "envelope": _cmd_envelope,
-    "zariski": _cmd_zariski,
-    "cp-check": _cmd_cp_check,
-    "pick-check": _cmd_pick_check,
-    "pick-solve": _cmd_pick_solve,
-    "ltoa-check": _cmd_ltoa_check,
-    "stein-check": _cmd_stein_check,
-    "realize-eval": _cmd_realize_eval,
-    "okaweil": _cmd_okaweil,
-    "selftest": _cmd_selftest,
+    "eval": (_cmd_eval, ()),
+    "domain-check": (_cmd_domain_check, ()),
+    "envelope": (_cmd_envelope, ("max_multiplicity", "seed")),
+    "zariski": (_cmd_zariski, ()),
+    "cp-check": (_cmd_cp_check, ("tol",)),
+    "pick-check": (_cmd_pick_check, ("tol",)),
+    "pick-solve": (_cmd_pick_solve, ("tol", "samples", "seed")),
+    "ltoa-check": (_cmd_ltoa_check, ("tol",)),
+    "stein-check": (_cmd_stein_check, ("tol",)),
+    "realize-eval": (_cmd_realize_eval, ()),
+    "okaweil": (_cmd_okaweil, ("truncation_L",)),
+    "selftest": (_cmd_selftest, ("seed",)),
 }
+
+# Each option's type and default; ``truncation_L`` is the flag ``--truncation-L``.
+_OPTIONS = {"tol": (float, 1e-9), "seed": (int, 0), "max_multiplicity": (int, None),
+            "truncation_L": (int, 8), "samples": (int, 100)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose argument errors raise ``ValueError``, answered with the error document."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every ``main`` call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncpick",
         description="Noncommutative Pick interpolation toolkit (JSON in, JSON out)",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    needs_input = set(_COMMANDS) - {"selftest"}
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        if name in needs_input:
+        if name != "selftest":
             sp.add_argument("input", nargs="?", default="-",
                             help="input JSON file ('-' for stdin)")
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-multiplicity", dest="max_multiplicity", type=int, default=None)
-        sp.add_argument("--truncation-L", dest="truncation_L", type=int, default=8)
-        sp.add_argument("--samples", type=int, default=100)
+        for opt in options:
+            kind, default = _OPTIONS[opt]
+            sp.add_argument("--" + opt.replace("_", "-"), dest=opt, type=kind, default=default)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in ("samples", "truncation_L"):
-            if getattr(args, name) < 0:
+            if getattr(args, name, 0) < 0:
                 raise ValueError(f"--{name} must be nonnegative")
-        if not 0.0 < args.tol < np.inf:
+        if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
             raise ValueError("--tol must be positive and finite")
-        return _COMMANDS[args.command](args)
-    except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError,
-            OSError) as exc:
+        handler, options = _COMMANDS[args.command]
+        payload, ok = handler(_read_input(args.input) if "input" in args else None, args)
+        params = {k: getattr(args, k) for k in options if getattr(args, k) is not None}
+        text = _dumps({"v": SCHEMA_VERSION, **payload, "params": params})
+    except (KeyError, ValueError, TypeError, OverflowError, OSError) as exc:
         sys.stdout.write(json.dumps(
             {"v": SCHEMA_VERSION, "error": {"type": type(exc).__name__, "message": str(exc)}},
             sort_keys=True, separators=(",", ":")) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    sys.stdout.write(text + "\n")
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

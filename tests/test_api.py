@@ -1,6 +1,6 @@
 """Public names resolve, the traced benchmark still finds what it wraps, the
-settable values of the public API are budgeted, and dense solves stay in
-one place."""
+settable values of the public API are budgeted, dense solves stay in one
+place, and each CLI command reads exactly the options it takes."""
 
 import ast
 import importlib
@@ -173,3 +173,35 @@ def test_one_identity_minus_solve():
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in solve_sites(path.read_text(encoding="utf-8"), path.stem)]
     assert sites == ["kernels._stein_solve"]
+
+
+def option_reads(source: str) -> dict[str, set[str]]:
+    """The ``args.<name>`` options each ``_cmd_*`` function reads; ``args`` used any
+    other way (``getattr(args, ...)``, ``vars(args)``) reads as the name ``args``."""
+    reads = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            nodes = list(ast.walk(node))
+            attrs = [n.attr for n in nodes if isinstance(n, ast.Attribute)
+                     and isinstance(n.value, ast.Name) and n.value.id == "args"]
+            uses = sum(isinstance(n, ast.Name) and n.id == "args" for n in nodes)
+            reads[node.name] = set(attrs) | ({"args"} if uses > len(attrs) else set())
+    return reads
+
+
+def test_option_reads_detected():
+    source = ("def _cmd_a(obj, args):\n    return args.tol + args.seed + args.tol\n"
+              "def _cmd_b(obj, args):\n    return getattr(args, 'tol')\n"
+              "def _cmd_c(obj, args):\n    return obj\n"
+              "def helper(args):\n    return args.samples\n")
+    assert option_reads(source) == {"_cmd_a": {"tol", "seed"}, "_cmd_b": {"args"},
+                                    "_cmd_c": set()}
+
+
+def test_commands_read_exactly_their_options():
+    # a command takes and echoes only the options in its _COMMANDS entry, so an
+    # option it accepts and never reads, or reads and does not accept, fails here
+    cli = importlib.import_module("ncpick.cli")
+    declared = {handler.__name__: set(options) for handler, options in cli._COMMANDS.values()}
+    assert option_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == declared
+    assert sum(map(len, declared.values())) == 11

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncpick
+from ncpick import cli
 from ncpick.cli import main
 from ncpick.interpolation import stein_dominance_certificate
 from ncpick.kernels import cp_check_finite
@@ -230,7 +234,7 @@ def test_cp_check_stdout_matches_json_encoder(capsys, monkeypatch, rng):
     assert code == 0
     assert f'"choi":{{"block_dim":5,"matrix":{matrix},"n":5}}' in out
     want = {"v": 1, "certificate": encode_certificate(cert), "choi": encode_choi(choi),
-            "params": {"samples": 100, "seed": 0, "tol": 1e-8, "truncation_L": 8}}
+            "params": {"tol": 1e-8}}
     assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -385,6 +389,15 @@ class TestErrors:
         assert code == 2
         assert doc["error"] == {"type": "ValueError", "message": "matrix entries must be finite"}
 
+    def test_overflowing_result_rejected(self, capsys, monkeypatch):
+        # finite entries whose value overflows: z_1^2 at 1e200 is inf
+        Q = {"d": 1, "s": 1, "r": 1, "terms": [{"word": [1, 1], "coeff": [[[1.0, 0.0]]]}]}
+        payload = {"Q": Q, "Z": encode_tuple(scalar_point(1e200))}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, out = run_cli(["eval"], payload, capsys, monkeypatch)
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert code == 2 and doc["error"]["type"] == "ValueError"
+
     @pytest.mark.parametrize("command, payload, message", [
         # each read as z_1 before integer fields were checked
         ("eval", {"Q": {**Z_POLY, "d": 1.9, "terms": [{"word": [1.7], "coeff": [[[1.0, 0.0]]]}]},
@@ -454,19 +467,176 @@ class TestErrors:
         assert code == 0 and doc["value"] == [[[0.5, 0.0]]]
 
     def test_params_echoed(self, capsys, monkeypatch):
-        payload = {"Q": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
-        _, doc, _ = run_cli(["domain-check", "--tol", "1e-8", "--seed", "7"],
+        payload = VALID_DOCUMENTS["pick-solve"]
+        _, doc, _ = run_cli(["pick-solve", "--tol", "1e-8", "--seed", "7"],
                             payload, capsys, monkeypatch)
         assert doc["params"]["tol"] == 1e-8
         assert doc["params"]["seed"] == 7
 
     def test_flags_do_not_leak_between_calls(self, capsys, monkeypatch):
-        payload = {"Q": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
-        _, first, _ = run_cli(["domain-check", "--samples", "5", "--tol", "1e-8",
-                               "--truncation-L", "3"], payload, capsys, monkeypatch)
-        assert first["params"] == {"samples": 5, "seed": 0, "tol": 1e-8, "truncation_L": 3}
-        _, second, _ = run_cli(["domain-check"], payload, capsys, monkeypatch)
-        assert second["params"] == {"samples": 100, "seed": 0, "tol": 1e-9, "truncation_L": 8}
+        payload = VALID_DOCUMENTS["pick-solve"]
+        _, first, _ = run_cli(["pick-solve", "--samples", "5", "--tol", "1e-8", "--seed", "3"],
+                              payload, capsys, monkeypatch)
+        assert first["params"] == {"samples": 5, "seed": 3, "tol": 1e-8}
+        _, second, _ = run_cli(["pick-solve"], payload, capsys, monkeypatch)
+        assert second["params"] == {"samples": 100, "seed": 0, "tol": 1e-9}
+
+    @pytest.mark.parametrize("argv, message", [
+        # the value after an unread flag is taken for the input file name
+        (["eval", "--samples", "5"], "unrecognized arguments: --samples"),
+        (["eval", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+        (["domain-check", "--tol", "-1"], "unrecognized arguments: --tol"),
+        (["pick-solve", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+        (["pick-solve", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unread-samples", "unread-tol", "unread-negative-tol", "bad-type", "unknown-flag",
+            "no-command"])
+    def test_argument_errors_answer_with_the_error_document(self, capsys, monkeypatch, argv,
+                                                            message):
+        # checked before the input is read: stdin holds no document
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code, doc, out = run_cli(argv, None, capsys, monkeypatch)
+        assert code == 2 and out.count("\n") == 1
+        assert doc == {"v": 1, "error": {"type": "ValueError", "message": message}}
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["eval", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            f"ncpick {ncpick.__version__}" if argv == ["--version"] else "usage: ncpick")
+
+    def test_max_multiplicity_echoed_only_when_given(self, capsys, monkeypatch):
+        payload = VALID_DOCUMENTS["envelope"]
+        _, given, _ = run_cli(["envelope", "--max-multiplicity", "2"], payload, capsys,
+                              monkeypatch)
+        assert given["params"] == {"max_multiplicity": 2, "seed": 0}
+        _, default, _ = run_cli(["envelope"], payload, capsys, monkeypatch)
+        assert default["params"] == {"seed": 0}
+
+
+def _valid_documents() -> dict:
+    """A small valid input document for each of the 11 input-taking commands."""
+    point = encode_tuple(scalar_point(0.5))
+    Z = encode_tuple(mt(np.array([[0.5]])))
+    col = encode_colligation(random_contractive_colligation(2, 1, 1, 1, seed=0))
+    pick = {"Q0": Z_POLY, "Z0": point, "A0": encode_matrix(np.eye(1)),
+            "B0": encode_matrix(0.9 * np.eye(1))}
+    return {
+        "eval": {"Q": encode_poly(NcMatrixPolynomial.row_pencil(2)),
+                 "Z": encode_tuple(scalar_point(0.3, 0.4))},
+        "domain-check": {"Q": Z_POLY, "Z": point},
+        "envelope": {"Ztilde": Z, "generators": [Z], "kind": "full"},
+        "zariski": {"Ztilde": encode_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                    "Omega_F": [encode_matrix(np.zeros((1, 1)))]},
+        "cp-check": {"Q0": Z_POLY, "points": [encode_tuple(scalar_point(z)) for z in (0.4, -0.2)]},
+        "pick-check": pick,
+        "pick-solve": pick,
+        "ltoa-check": {"Z0": point, "X": encode_matrix(np.eye(1)),
+                       "Y": encode_matrix(0.8 * np.eye(1))},
+        "stein-check": {"Q0": Z_POLY, "Z0": point, "Lambda0": encode_matrix(0.5 * np.eye(1))},
+        "realize-eval": {"colligation": col, "Q0": Z_POLY, "Z": point},
+        "okaweil": {"colligation": col, "Q0": Z_POLY,
+                    "samples": [encode_tuple(scalar_point(z)) for z in (0.3, -0.2)]},
+    }
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+# numbers written into the input text as literals, which Python's json reads
+# (1e400 as infinity)
+_LITERALS = ("NaN", "1e400", "-1e400")
+_MARK = "@literal@"
+
+
+def _sites(doc, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
+        else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _sites(value, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _mutations(doc) -> list[tuple]:
+    """Every (path, kind) of one mutation of a document.
+
+    A key or list element dropped, one more list element (a shape
+    mismatch), a value nested one level deeper or a list one level
+    shallower, and a number replaced by a literal, a fraction, a bool, a
+    string or a negative value.
+    """
+    out = []
+    for path in _sites(doc):
+        parent = _parent(doc, path)
+        value = parent[path[-1]]
+        kinds = ["drop", "deeper"] + (["duplicate"] if isinstance(parent, list) else []) \
+            + (["shallower"] if isinstance(value, list) and value else [])
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            kinds += [*_LITERALS, "fraction", "bool", "string", "negative"]
+        out += [(path, kind) for kind in kinds]
+    return out
+
+
+def _mutated_text(doc, path, kind) -> str:
+    doc = json.loads(json.dumps(doc))
+    parent = _parent(doc, path)
+    key, value = path[-1], parent[path[-1]]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "duplicate":
+        parent.insert(key, value)
+    else:
+        parent[key] = {"deeper": lambda: [value], "shallower": lambda: value[0],
+                       "fraction": lambda: value + 0.5, "bool": lambda: True,
+                       "string": lambda: str(value), "negative": lambda: -abs(value) - 1,
+                       }.get(kind, lambda: _MARK)()
+    return json.dumps(doc).replace(json.dumps(_MARK), kind)
+
+
+def answer(command, text):
+    """Exit code, stdout and stderr of ``main([command])`` with ``text`` on stdin."""
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    try:
+        sys.stdin = io.StringIO(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+def test_valid_documents_answer(command):
+    # the starting points of the input-contract property are valid input, and
+    # params holds exactly the command's options (max_multiplicity only when given)
+    code, out, _ = answer(command, json.dumps(VALID_DOCUMENTS[command]))
+    doc = json.loads(out)
+    assert code in (0, 1) and "error" not in doc
+    assert set(doc["params"]) == set(cli._COMMANDS[command][1]) - {"max_multiplicity"}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mutated_input_answers_with_one_document(command, data):
+    # one mutation of a valid document: the answer is one strict JSON line,
+    # exit 2 exactly for the error document, and no traceback
+    doc = VALID_DOCUMENTS[command]
+    path, kind = data.draw(st.sampled_from(_mutations(doc)))
+    code, out, err = answer(command, _mutated_text(doc, path, kind))
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1
+    answered = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+    assert (code == 2) == (set(answered) == {"v", "error"})
+    assert "Traceback" not in err
 
 
 NO_SCIPY_SCRIPT = """

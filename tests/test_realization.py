@@ -13,7 +13,9 @@ from ncpick.core import (
     operator_norm,
     similarity,
 )
-from ncpick.kernels import NotPsdError, _phi_matrix, dbr_choi, kolmogorov_factor
+from ncpick.interpolation import multi_point_to_single, solve_pick
+from ncpick.kernels import PSD_REL_TOL, NotPsdError, PickProblem, _phi_matrix, dbr_choi, \
+    kolmogorov_factor
 from ncpick.realization import (
     SVD_RANK_TOL,
     Colligation,
@@ -167,6 +169,43 @@ class TestAglerDecomposition:
         res = agler_residual(col, _eval_poly(Q0, Z), _eval_poly(Q0, W),
                              transfer_eval(f, Z), transfer_eval(f, W), P)
         assert operator_norm(res) <= 1e-10 * operator_norm(P)
+
+    @given(d=st.integers(1, 2), levels=st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 1),
+                                                         (1, 1, 1), (2, 1, 1)]),
+           e=st.integers(1, 2), y=st.integers(1, 2), u=st.integers(1, 2),
+           source_X=st.integers(1, 3), via_solve=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_zero_completion_defect_is_completely_positive(self, d, levels, e, y, u, source_X,
+                                                           via_solve, seed):
+        # a zero completion U is a contraction, so the Agler residual is the CP
+        # map P -> F(Z) [P (x) (I - U^* U)] F(Z)^*: its Choi matrix at a direct
+        # sum of the (fused) node and a sample of another level is PSD up to
+        # the dead band
+        rng = np.random.default_rng(seed)
+        Q = NcMatrixPolynomial.row_pencil(d)
+        source = RealizedFunction(random_contractive_colligation(source_X, u, y, d, seed=seed), Q)
+        problems = []
+        for n in levels:
+            Z0 = sample_in_domain(Q, n, rng, 0.6)
+            a0 = complex_gaussian(rng, (e * n, y * n))
+            problems.append(PickProblem(Q, Z0, a0, a0 @ transfer_eval(source, Z0)))
+        p = multi_point_to_single(problems)
+        if via_solve:
+            col = solve_pick(p, samples=0).colligation
+        else:
+            col, _ = lurking_isometry_synthesize(Q, p.Z0, p.A0, p.B0)
+        Z = direct_sum(p.Z0, sample_in_domain(Q, 1 + levels[0] % 2, rng, 0.8))
+        QZ, SZ, N = _eval_poly(Q, Z), transfer_eval(RealizedFunction(col, Q), Z), Z.n
+        # Choi matrix sum_ij E_ij (x) defect(E_ij), blocks of side y N
+        choi = np.zeros((N, y * N, N, y * N), dtype=complex)
+        for i in range(N):
+            for j in range(N):
+                E = np.zeros((N, N))
+                E[i, j] = 1.0
+                choi[i, :, j, :] = agler_residual(col, QZ, QZ, SZ, SZ, E)
+        choi = choi.reshape(N * y * N, N * y * N)
+        eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+        assert eigs[0] >= -PSD_REL_TOL * max(1.0, eigs[-1])
 
 
 class TestContractionCheck:
