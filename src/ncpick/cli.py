@@ -112,11 +112,12 @@ def _cmd_envelope(obj, args) -> tuple[dict, bool]:
     Zt = decode_tuple(obj["Ztilde"])
     gens = [decode_tuple(g) for g in obj["generators"]]
     kind = obj.get("kind", "full")
-    searches = {"full": full_envelope_membership, "similarity": similarity_envelope_membership}
-    search = searches.get(kind) if isinstance(kind, str) else None
-    if search is None:
+    if kind not in ("full", "similarity"):
         raise ValueError(f"unknown envelope kind {kind!r}")
-    w = search(Zt, gens, max_multiplicity=args.max_multiplicity, seed=args.seed)
+    if args.max_multiplicity is not None and args.max_multiplicity < 1:
+        raise ValueError("max_multiplicity must be at least 1")
+    w = full_envelope_membership(Zt, gens) if kind == "full" else similarity_envelope_membership(
+        Zt, gens, max_multiplicity=args.max_multiplicity, seed=args.seed)
     return {"member": w is not None, "witness": encode_witness(w) if w else None}, w is not None
 
 

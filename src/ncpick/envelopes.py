@@ -1,11 +1,12 @@
 """Constructive envelope operations and single-variable Zariski closure.
 
-Membership of a point in the envelope generated by finitely many tuples is
-decided by solving the joint Sylvester system I Ztilde_k = Z_k I over all
-direct sums of generators up to a multiplicity bound, then hunting for an
-injective (or invertible) element of the solution space with random
-combinations: injective solutions form a Zariski-open subset, so a random
-element is injective with probability one whenever any is.
+An intertwiner I Ztilde_k = Z_k I into a direct sum Z of generators has its
+row blocks in the nullspaces Int(G_i <- Ztilde) of the joint Sylvester
+systems, so full-envelope membership is one exact common-kernel test of
+their stacked bases.  The similarity envelope is searched over generator
+multisets of level(Ztilde) with random elements of each nullspace:
+invertible ones form a Zariski-open subset, so a random element is
+invertible with probability one whenever any is.
 
 For one variable the full envelope coincides with the set of matrices whose
 Jordan data is dominated by the generators'.  The eigenvalues of the point
@@ -44,10 +45,10 @@ __all__ = [
     "zariski_membership_d1",
 ]
 
-#: Random combinations drawn when hunting for an injective nullspace element.
+#: Random intertwiners drawn per generator multiset by the similarity search.
 INJECTIVITY_TRIALS = 20
 
-#: Smallest singular value a full-envelope witness must exceed (injectivity).
+#: Injectivity cut of a full-envelope stack and witness, relative to max(1, sigma_max).
 INJECTIVITY_TOL = 1e-8
 
 #: Largest condition number a similarity-envelope witness may have.
@@ -127,87 +128,84 @@ def intertwiner_space(Z: MatrixTuple, Ztilde: MatrixTuple) -> list[np.ndarray]:
     for Zk, Ztk in zip(Z.components, Ztilde.components):
         rows.append(np.kron(np.eye(n), Ztk.T) - np.kron(Zk, np.eye(m)))
     sys = np.vstack(rows)
-    _, svals, Vh = np.linalg.svd(sys)
+    _, svals, Vh = np.linalg.svd(sys, full_matrices=False)  # d n m >= n m rows: Vh is square
     top = svals[0] if svals.size else 0.0
     rank = int(np.sum(svals > INTERTWINER_NULL_TOL * max(top, 1.0)))
     null = Vh[rank:].conj()
     return [v.reshape(n, m) for v in null]
 
 
-def _random_in_span(basis: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    M = sum(c * B for c, B in zip(coeffs, basis))
-    norm = np.linalg.norm(M, 2)
-    return M / norm if norm > 0 else M
-
-
-def _candidate_multisets(count: int, max_multiplicity: int):
-    for total in range(1, max_multiplicity + 1):
-        yield from itertools.combinations_with_replacement(range(count), total)
-
-
 def _verify_witness(Z: MatrixTuple, Ztilde: MatrixTuple, I: np.ndarray) -> None:
-    """Intertwining residual test; the search has already tested the singular values."""
+    """Intertwining residual test; the caller has already tested the singular values."""
     scale = max(1.0, max(np.linalg.norm(c, 2) for c in Z.components))
     for Zk, Ztk in zip(Z.components, Ztilde.components):
         if np.linalg.norm(I @ Ztk - Zk @ I, 2) > 1e-9 * scale:
             raise AssertionError("witness fails the intertwining relation")
 
 
-def _envelope_search(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
-                     max_multiplicity: int | None, seed: int,
-                     kind: str) -> EnvelopeWitness | None:
-    """Both envelope searches: ``INJECTIVITY_TRIALS`` random intertwiners per multiset.
+def full_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
+                             ) -> EnvelopeWitness | None:
+    """Exact membership: the stacked bases of every Int(G_i <- Ztilde) are injective.
 
-    A similarity witness is square with condition number at most
-    ``WITNESS_COND_BOUND``; a left injective one has level(Z) >= level(Ztilde)
-    and smallest singular value above ``INJECTIVITY_TOL``.
+    Injective means a smallest singular value above ``INJECTIVITY_TOL *
+    max(1, largest)``.  The witness keeps, in generator order, each basis
+    block that raises its rank at that cut, up to rank level(Ztilde), so its
+    total multiplicity is at most level(Ztilde); should the blocks fall
+    short one by one (a margin this thin), it is the whole stack.
     """
+    if not generators:
+        raise ValueError("need at least one generator")
+    blocks = [(i, B) for i, G in enumerate(generators) for B in intertwiner_space(G, Ztilde)]
+    if not blocks:
+        return None
+    svals = np.linalg.svd(np.vstack([B for _, B in blocks]), compute_uv=False)
+    cut = INJECTIVITY_TOL * max(1.0, svals[0])
+    if svals.size < Ztilde.n or svals[-1] <= cut:
+        return None
+    kept, rank = [], 0
+    for i, B in blocks:
+        grown = np.linalg.matrix_rank(np.vstack([*(b for _, b in kept), B]), tol=cut)
+        if grown > rank:
+            kept.append((i, B))
+            rank = grown
+            if rank == Ztilde.n:
+                break
+    else:
+        kept = blocks
+    mults = tuple(sum(1 for i, _ in kept if i == g) for g in range(len(generators)))
+    I = np.vstack([B for _, B in kept])
+    _verify_witness(nc_envelope_point(generators, mults), Ztilde, I)
+    return EnvelopeWitness("left-injective-intertwiner", mults, I)
+
+
+def similarity_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
+                                   max_multiplicity: int | None = None,
+                                   seed: int = 0) -> EnvelopeWitness | None:
+    """Search generator multisets of level(Ztilde), of at most ``max_multiplicity``
+    (default level(Ztilde)), for a square intertwiner of condition number at most
+    ``WITNESS_COND_BOUND`` among ``INJECTIVITY_TRIALS`` random ones per multiset."""
     if not generators:
         raise ValueError("need at least one generator")
     if max_multiplicity is None:
         max_multiplicity = Ztilde.n
     if max_multiplicity < 1:
         raise ValueError("max_multiplicity must be at least 1")
-    square = kind == "similarity"
     rng = np.random.default_rng(seed)
-    for combo in _candidate_multisets(len(generators), max_multiplicity):
-        Z = direct_sum_many([generators[i] for i in combo])
-        if Z.n < Ztilde.n or (square and Z.n != Ztilde.n):
-            continue
-        basis = intertwiner_space(Z, Ztilde)
-        if not basis:
-            continue
-        for _ in range(INJECTIVITY_TRIALS):
-            I = _random_in_span(basis, rng)
-            svals = np.linalg.svd(I, compute_uv=False)
-            if not (svals[-1] > 0 and svals[0] / svals[-1] <= WITNESS_COND_BOUND if square
-                    else svals[-1] > INJECTIVITY_TOL):
+    for total in range(1, max_multiplicity + 1):
+        for combo in itertools.combinations_with_replacement(range(len(generators)), total):
+            if sum(generators[i].n for i in combo) != Ztilde.n:
                 continue
-            _verify_witness(Z, Ztilde, I)
-            mults = tuple(combo.count(i) for i in range(len(generators)))
-            return EnvelopeWitness(kind, mults, I)
+            Z = direct_sum_many([generators[i] for i in combo])
+            basis = intertwiner_space(Z, Ztilde)
+            for _ in range(INJECTIVITY_TRIALS if basis else 0):
+                coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+                I = sum(c * B for c, B in zip(coeffs, basis))
+                svals = np.linalg.svd(I, compute_uv=False)
+                if svals[-1] > 0 and svals[0] / svals[-1] <= WITNESS_COND_BOUND:
+                    _verify_witness(Z, Ztilde, I / svals[0])
+                    mults = tuple(combo.count(i) for i in range(len(generators)))
+                    return EnvelopeWitness("similarity", mults, I / svals[0])
     return None
-
-
-def full_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
-                             max_multiplicity: int | None = None,
-                             seed: int = 0) -> EnvelopeWitness | None:
-    """Search for a left injective intertwiner from a generator direct sum.
-
-    Absence is a normal return; it is conclusive only up to the
-    multiplicity bound (default: the level of Ztilde, which suffices for
-    one variable).
-    """
-    return _envelope_search(Ztilde, generators, max_multiplicity, seed,
-                            "left-injective-intertwiner")
-
-
-def similarity_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
-                                   max_multiplicity: int | None = None,
-                                   seed: int = 0) -> EnvelopeWitness | None:
-    """Like full membership but demanding a square invertible intertwiner."""
-    return _envelope_search(Ztilde, generators, max_multiplicity, seed, "similarity")
 
 
 def _cluster(values: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:

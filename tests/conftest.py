@@ -1,10 +1,12 @@
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
 from ncpick.core import DimensionMismatchError, DomainError, MatrixTuple, _eval_poly, amp, \
-    operator_norm
+    direct_sum_many, operator_norm
+from ncpick.envelopes import INJECTIVITY_TOL, INJECTIVITY_TRIALS, intertwiner_space
 from ncpick.realization import amplify
 
 
@@ -220,3 +222,28 @@ def ltoa_word_sum(S, Z0: MatrixTuple, X, twisted: bool) -> np.ndarray:
             Zw = Zw @ Z0.components[k - 1]
         out += Zw @ X @ coeff
     return out
+
+
+# The generator-multiset search, an oracle for the exact full-envelope test
+
+
+def full_envelope_search(Ztilde: MatrixTuple, generators, seed: int = 0):
+    """(multiplicities, intertwiner) of a left injective witness, or None.
+
+    Every multiset of at most level(Ztilde) generators whose direct sum Z has
+    level at least level(Ztilde) gets ``INJECTIVITY_TRIALS`` random elements
+    of Int(Z <- Ztilde), each scaled to norm 1; the first with smallest
+    singular value above ``INJECTIVITY_TOL`` is the witness.
+    """
+    rng = np.random.default_rng(seed)
+    for total in range(1, Ztilde.n + 1):
+        for combo in itertools.combinations_with_replacement(range(len(generators)), total):
+            Z = direct_sum_many([generators[i] for i in combo])
+            basis = intertwiner_space(Z, Ztilde) if Z.n >= Ztilde.n else []
+            for _ in range(INJECTIVITY_TRIALS if basis else 0):
+                coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+                I = sum(c * B for c, B in zip(coeffs, basis))
+                I = I / max(np.linalg.norm(I, 2), 1e-300)
+                if np.linalg.svd(I, compute_uv=False)[-1] > INJECTIVITY_TOL:
+                    return tuple(combo.count(i) for i in range(len(generators))), I
+    return None

@@ -44,12 +44,12 @@ def test_traced_names_exist():
 # Every parameter with a default of a public callable (in ``ncpick.__all__`` or a
 # module's ``__all__``), keyed by defining module and name.  A setting no caller
 # sets belongs in a module constant; adding or removing one means editing this
-# table.  38 parameters (53 before the envelope, sampling, extraction, core,
-# realization and refuter tolerances became constants).
+# table.  36 parameters (53 before the envelope, sampling, extraction, core,
+# realization and refuter tolerances became constants, 38 before the full
+# envelope became an exact test).
 DEFAULTED_PARAMETERS = {
     "core.NcMatrixPolynomial": ("terms",),
     "envelopes.JordanData": ("ambiguous",),
-    "envelopes.full_envelope_membership": ("max_multiplicity", "seed"),
     "envelopes.jordan_spectral_data": ("cluster_tol",),
     "envelopes.similarity_envelope_membership": ("max_multiplicity", "seed"),
     "envelopes.zariski_membership_d1": ("cluster_tol",),
@@ -97,7 +97,7 @@ def defaulted_parameters() -> dict[str, tuple[str, ...]]:
 def test_defaulted_parameters_match_the_budget():
     found = defaulted_parameters()
     assert found == DEFAULTED_PARAMETERS
-    assert sum(map(len, found.values())) == 38
+    assert sum(map(len, found.values())) == 36
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpick import envelopes
 from ncpick.core import _eval_poly, similarity
 from ncpick.envelopes import (
+    INJECTIVITY_TOL,
     full_envelope_membership,
     intertwiner_space,
     jordan_spectral_data,
@@ -11,8 +14,9 @@ from ncpick.envelopes import (
     similarity_envelope_membership,
     zariski_membership_d1,
 )
+from ncpick.sampling import complex_gaussian
 
-from conftest import block_diag, count_calls, jordan_cell, mt
+from conftest import block_diag, count_calls, full_envelope_search, jordan_cell, mt
 
 
 def eval_d1(poly, M):
@@ -94,7 +98,64 @@ class TestFullEnvelope:
         gens = [mt(rng.standard_normal((2, 2))), mt(rng.standard_normal((1, 1)))]
         Zt = nc_envelope_point(gens, [1, 2])
         assert similarity_envelope_membership(Zt, gens, max_multiplicity=4) is not None
-        assert full_envelope_membership(Zt, gens, max_multiplicity=4) is not None
+        assert full_envelope_membership(Zt, gens) is not None
+
+    @given(seed=st.integers(0, 2**16),
+           construction=st.sampled_from(["similar-sum", "cyclic-restriction", "transpose",
+                                         "random"]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_agrees_with_the_multiset_search(self, seed, construction):
+        # d = 2 generators with a common invariant flag; members are conjugated
+        # direct sums and restrictions of direct sums to invariant subspaces
+        rng = np.random.default_rng(seed)
+        gens = [_triangular_tuple(rng, int(rng.integers(1, 3)))
+                for _ in range(int(rng.integers(1, 4)))]
+        mults = [int(k) for k in rng.integers(0, 2, len(gens))]
+        mults[int(rng.integers(len(gens)))] = 1
+        Z = nc_envelope_point(gens, mults)
+        if construction == "similar-sum":
+            Zt = similarity(Z, np.eye(Z.n) + 0.3 * complex_gaussian(rng, (Z.n, Z.n)))
+        elif construction == "cyclic-restriction":
+            Zt = _cyclic_restriction(rng, Z, [G.n for G, k in zip(gens, mults) for _ in range(k)])
+        elif construction == "transpose":
+            Zt = mt(*(c.T for c in Z.components))
+        else:
+            Zt = mt(*complex_gaussian(rng, (2, Z.n, Z.n)))
+        w = full_envelope_membership(Zt, gens)
+        assert (w is not None) == (full_envelope_search(Zt, gens, seed) is not None)
+        if construction in ("similar-sum", "cyclic-restriction"):
+            assert w is not None
+        if w is not None:
+            assert sum(w.multiplicities) <= Zt.n
+            assert np.linalg.svd(w.matrix, compute_uv=False)[-1] > INJECTIVITY_TOL
+            sum_point = nc_envelope_point(gens, w.multiplicities)
+            for Zk, Ztk in zip(sum_point.components, Zt.components):
+                assert np.linalg.norm(w.matrix @ Ztk - Zk @ w.matrix, 2) <= 1e-9
+
+    def test_one_intertwiner_space_per_generator_and_no_draws(self, monkeypatch, rng):
+        gens = [_triangular_tuple(rng, 2) for _ in range(3)]
+        points = (nc_envelope_point(gens, [1, 0, 2]), mt(*complex_gaussian(rng, (2, 2, 2))))
+        spaces = count_calls(monkeypatch, envelopes, "intertwiner_space")
+        draws = count_calls(monkeypatch, np.random, "default_rng")
+        for Zt, member in zip(points, (True, False)):
+            spaces.clear()
+            assert (full_envelope_membership(Zt, gens) is not None) == member
+            assert len(spaces) == 3
+        assert draws == []
+
+    def test_witness_keeps_only_blocks_that_raise_the_rank(self):
+        # the second generator repeats the first, so its block adds no rank
+        Zt = mt(np.diag([0.0, 1.0]))
+        w = full_envelope_membership(Zt, [mt([[0.0]]), mt([[0.0]]), mt([[1.0]])])
+        assert w.multiplicities == (1, 0, 1)
+
+    def test_whole_stack_witnesses_when_greedy_falls_short(self, monkeypatch):
+        # were no block to raise the rank at the cut, the stack the SVD found
+        # injective is the witness: the diagonal commutant's two blocks
+        Z = mt(np.diag([0.5, -0.5]))
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda M, tol: 0)
+        w = full_envelope_membership(Z, [Z])
+        assert w.multiplicities == (2,) and w.matrix.shape == (4, 2)
 
 
 class TestSimilarityEnvelope:
@@ -118,10 +179,10 @@ class TestSimilarityEnvelope:
         assert similarity_envelope_membership(Z, [Z]) is not None
 
 
-@pytest.mark.parametrize("search", [full_envelope_membership, similarity_envelope_membership])
+@pytest.mark.parametrize("search", [similarity_envelope_membership])
 @pytest.mark.parametrize("bound", [0, -2])
 def test_multiplicity_bound_validated(search, bound):
-    # an empty search would answer "not a member"; both searches refuse it
+    # an empty search would answer "not a member"; the search refuses it
     Z = mt(np.array([[0.5]]))
     with pytest.raises(ValueError, match="max_multiplicity must be at least 1"):
         search(Z, [Z], max_multiplicity=bound)
@@ -212,9 +273,7 @@ class TestZariski:
             else:
                 Zt = _random_jordan(rng, eig_pool, max_dim=3)
             member_z, _ = zariski_membership_d1(Zt, [gen], cluster_tol=1e-3)
-            w = full_envelope_membership(
-                mt(Zt), [mt(gen)], max_multiplicity=Zt.shape[0], seed=trial
-            )
+            w = full_envelope_membership(mt(Zt), [mt(gen)])
             assert member_z == (w is not None)
 
     @pytest.mark.parametrize("Zt, gens, lam0, g0, coeffs", [
@@ -275,3 +334,23 @@ def _restriction_of(rng, gen):
     M = jordan_cell(lam, size)
     U, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
     return U @ M @ U.conj().T
+
+
+def _triangular_tuple(rng, n):
+    # upper triangular d = 2 tuple: each span(e_1, ..., e_j) is invariant
+    return mt(*(np.triu(complex_gaussian(rng, (n, n))) for _ in range(2)))
+
+
+def _cyclic_restriction(rng, Z, levels):
+    # Q^* Z Q on the cyclic subspace of a random vector supported on leading
+    # coordinates of each triangular summand; Q is then an injective intertwiner
+    v = np.concatenate([complex_gaussian(rng, n) * (np.arange(n) < rng.integers(1, n + 1))
+                        for n in levels])
+    Q = v[:, None] / np.linalg.norm(v)
+    while True:
+        U, s, _ = np.linalg.svd(np.hstack([Q, *(Zk @ Q for Zk in Z.components)]),
+                                full_matrices=False)
+        grown = U[:, s > 1e-10 * s[0]]
+        if grown.shape[1] == Q.shape[1]:
+            return mt(*(grown.conj().T @ Zk @ grown for Zk in Z.components))
+        Q = grown

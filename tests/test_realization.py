@@ -170,6 +170,29 @@ class TestAglerDecomposition:
                              transfer_eval(f, Z), transfer_eval(f, W), P)
         assert operator_norm(res) <= 1e-10 * operator_norm(P)
 
+    @given(r=st.integers(2, 3), d=st.integers(1, 2), y=st.integers(1, 2), t=st.integers(1, 2),
+           levels=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3)]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_unitary_completion_above_r_one_has_zero_defect(self, r, d, y, t, levels, seed):
+        # at one level-1 node with e = 1 the Kolmogorov rank X is at most 1, so
+        # u = y + (r - 1) t with t >= 1 leaves room for the padded state space
+        # X' = t of the unitary completion, which needs u - y >= (r - 1) X
+        rng = np.random.default_rng(seed)
+        u = y + (r - 1) * t
+        Q0 = random_row_poly(rng, d, r, degree=2)
+        source = RealizedFunction(random_contractive_colligation(2, u, y, r, seed=seed), Q0)
+        Z0 = sample_in_domain(Q0, 1, rng, 0.6)
+        a0 = complex_gaussian(rng, (1, y))
+        col, _ = lurking_isometry_synthesize(Q0, Z0, a0, a0 @ transfer_eval(source, Z0),
+                                             completion="unitary")
+        assert col.flags == ("unitary", "contractive") and col.dimX == t
+        f = RealizedFunction(col, Q0)
+        Z, W = (sample_in_domain(Q0, lev, rng, 0.8) for lev in levels)
+        P = complex_gaussian(rng, levels)
+        res = agler_residual(col, _eval_poly(Q0, Z), _eval_poly(Q0, W),
+                             transfer_eval(f, Z), transfer_eval(f, W), P)
+        assert operator_norm(res) <= 1e-10 * operator_norm(P)
+
     @given(d=st.integers(1, 2), levels=st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 1),
                                                          (1, 1, 1), (2, 1, 1)]),
            e=st.integers(1, 2), y=st.integers(1, 2), u=st.integers(1, 2),
