@@ -114,10 +114,7 @@ def _cmd_envelope(obj, args) -> tuple[dict, bool]:
     kind = obj.get("kind", "full")
     if kind not in ("full", "similarity"):
         raise ValueError(f"unknown envelope kind {kind!r}")
-    if args.max_multiplicity is not None and args.max_multiplicity < 1:
-        raise ValueError("max_multiplicity must be at least 1")
-    w = full_envelope_membership(Zt, gens) if kind == "full" else similarity_envelope_membership(
-        Zt, gens, max_multiplicity=args.max_multiplicity, seed=args.seed)
+    w = (full_envelope_membership if kind == "full" else similarity_envelope_membership)(Zt, gens)
     return {"member": w is not None, "witness": encode_witness(w) if w else None}, w is not None
 
 
@@ -228,7 +225,7 @@ def _cmd_selftest(obj, args) -> tuple[dict, bool]:
 _COMMANDS = {
     "eval": (_cmd_eval, ()),
     "domain-check": (_cmd_domain_check, ()),
-    "envelope": (_cmd_envelope, ("max_multiplicity", "seed")),
+    "envelope": (_cmd_envelope, ()),
     "zariski": (_cmd_zariski, ()),
     "cp-check": (_cmd_cp_check, ("tol",)),
     "pick-check": (_cmd_pick_check, ("tol",)),
@@ -241,8 +238,7 @@ _COMMANDS = {
 }
 
 # Each option's type and default; ``truncation_L`` is the flag ``--truncation-L``.
-_OPTIONS = {"tol": (float, 1e-9), "seed": (int, 0), "max_multiplicity": (int, None),
-            "truncation_L": (int, 8), "samples": (int, 100)}
+_OPTIONS = {"tol": (float, 1e-9), "seed": (int, 0), "truncation_L": (int, 8), "samples": (int, 100)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,7 +278,7 @@ def main(argv=None) -> int:
             raise ValueError("--tol must be positive and finite")
         handler, options = _COMMANDS[args.command]
         payload, ok = handler(_read_input(args.input) if "input" in args else None, args)
-        params = {k: getattr(args, k) for k in options if getattr(args, k) is not None}
+        params = {k: getattr(args, k) for k in options}
         text = _dumps({"v": SCHEMA_VERSION, **payload, "params": params})
     except (KeyError, ValueError, TypeError, OverflowError, OSError) as exc:
         sys.stdout.write(json.dumps(

@@ -3,10 +3,10 @@
 An intertwiner I Ztilde_k = Z_k I into a direct sum Z of generators has its
 row blocks in the nullspaces Int(G_i <- Ztilde) of the joint Sylvester
 systems, so full-envelope membership is one exact common-kernel test of
-their stacked bases.  The similarity envelope is searched over generator
-multisets of level(Ztilde) with random elements of each nullspace:
-invertible ones form a Zariski-open subset, so a random element is
-invertible with probability one whenever any is.
+their stacked bases.  The similarity test, from the same bases, is exact
+outside the full envelope and otherwise randomized: invertible intertwiners
+form a Zariski-open set, so a random one is invertible with probability one
+whenever any is.
 
 For one variable the full envelope coincides with the set of matrices whose
 Jordan data is dominated by the generators'.  The eigenvalues of the point
@@ -33,6 +33,7 @@ from .core import (
     NcMatrixPolynomial,
     direct_sum_many,
 )
+from .sampling import complex_gaussian
 
 __all__ = [
     "EnvelopeWitness",
@@ -68,10 +69,9 @@ JORDAN_RANK_TOL = 1e-10
 class EnvelopeWitness:
     """Certificate of envelope membership.
 
-    ``multiplicities`` counts how often each generator enters the
-    direct-sum point Z the witness intertwines with; ``matrix`` is the
-    intertwiner (injective for the full envelope, square invertible for
-    the similarity envelope, the identity for plain nc membership).
+    ``multiplicities`` counts each generator in the direct sum Z that
+    ``matrix`` intertwines with: injective for the full envelope, square
+    invertible for the similarity envelope.
     """
 
     kind: str
@@ -82,7 +82,7 @@ class EnvelopeWitness:
         M = np.array(self.matrix, dtype=complex)
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
-        if self.kind not in ("direct-sum", "similarity", "left-injective-intertwiner"):
+        if self.kind not in ("similarity", "left-injective-intertwiner"):
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
@@ -124,15 +124,11 @@ def intertwiner_space(Z: MatrixTuple, Ztilde: MatrixTuple) -> list[np.ndarray]:
     if Z.d != Ztilde.d:
         raise DimensionMismatchError("tuples over different variable counts")
     n, m = Z.n, Ztilde.n
-    rows = []
-    for Zk, Ztk in zip(Z.components, Ztilde.components):
-        rows.append(np.kron(np.eye(n), Ztk.T) - np.kron(Zk, np.eye(m)))
-    sys = np.vstack(rows)
+    sys = np.vstack([np.kron(np.eye(n), Ztk.T) - np.kron(Zk, np.eye(m))
+                     for Zk, Ztk in zip(Z.components, Ztilde.components)])
     _, svals, Vh = np.linalg.svd(sys, full_matrices=False)  # d n m >= n m rows: Vh is square
-    top = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > INTERTWINER_NULL_TOL * max(top, 1.0)))
-    null = Vh[rank:].conj()
-    return [v.reshape(n, m) for v in null]
+    rank = int(np.sum(svals > INTERTWINER_NULL_TOL * svals.max(initial=1.0)))
+    return [v.reshape(n, m) for v in Vh[rank:].conj()]
 
 
 def _verify_witness(Z: MatrixTuple, Ztilde: MatrixTuple, I: np.ndarray) -> None:
@@ -143,25 +139,34 @@ def _verify_witness(Z: MatrixTuple, Ztilde: MatrixTuple, I: np.ndarray) -> None:
             raise AssertionError("witness fails the intertwining relation")
 
 
+def _generator_bases(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
+                     ) -> tuple[list[list[np.ndarray]], float | None]:
+    """A basis of each Int(G_i <- Ztilde), and the injectivity cut ``INJECTIVITY_TOL *
+    max(1, sigma_max)`` of their stack, or None if its sigma_min is not above it."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    bases = [intertwiner_space(G, Ztilde) for G in generators]
+    blocks = [B for basis in bases for B in basis]
+    if not blocks:
+        return bases, None
+    svals = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    cut = INJECTIVITY_TOL * max(1.0, svals[0])
+    return bases, cut if svals.size == Ztilde.n and svals[-1] > cut else None
+
+
 def full_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
                              ) -> EnvelopeWitness | None:
     """Exact membership: the stacked bases of every Int(G_i <- Ztilde) are injective.
 
-    Injective means a smallest singular value above ``INJECTIVITY_TOL *
-    max(1, largest)``.  The witness keeps, in generator order, each basis
-    block that raises its rank at that cut, up to rank level(Ztilde), so its
-    total multiplicity is at most level(Ztilde); should the blocks fall
-    short one by one (a margin this thin), it is the whole stack.
+    The witness keeps, in generator order, each basis block that raises its
+    rank at the injectivity cut, up to rank level(Ztilde), so its total
+    multiplicity is at most level(Ztilde); should the blocks fall short one
+    by one (a margin this thin), it is the whole stack.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    blocks = [(i, B) for i, G in enumerate(generators) for B in intertwiner_space(G, Ztilde)]
-    if not blocks:
+    bases, cut = _generator_bases(Ztilde, generators)
+    if cut is None:
         return None
-    svals = np.linalg.svd(np.vstack([B for _, B in blocks]), compute_uv=False)
-    cut = INJECTIVITY_TOL * max(1.0, svals[0])
-    if svals.size < Ztilde.n or svals[-1] <= cut:
-        return None
+    blocks = [(i, B) for i, basis in enumerate(bases) for B in basis]
     kept, rank = [], 0
     for i, B in blocks:
         grown = np.linalg.matrix_rank(np.vstack([*(b for _, b in kept), B]), tol=cut)
@@ -179,32 +184,30 @@ def full_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTup
 
 
 def similarity_envelope_membership(Ztilde: MatrixTuple, generators: Sequence[MatrixTuple],
-                                   max_multiplicity: int | None = None,
-                                   seed: int = 0) -> EnvelopeWitness | None:
-    """Search generator multisets of level(Ztilde), of at most ``max_multiplicity``
-    (default level(Ztilde)), for a square intertwiner of condition number at most
-    ``WITNESS_COND_BOUND`` among ``INJECTIVITY_TRIALS`` random ones per multiset."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    if max_multiplicity is None:
-        max_multiplicity = Ztilde.n
-    if max_multiplicity < 1:
-        raise ValueError("max_multiplicity must be at least 1")
-    rng = np.random.default_rng(seed)
-    for total in range(1, max_multiplicity + 1):
-        for combo in itertools.combinations_with_replacement(range(len(generators)), total):
-            if sum(generators[i].n for i in combo) != Ztilde.n:
-                continue
-            Z = direct_sum_many([generators[i] for i in combo])
-            basis = intertwiner_space(Z, Ztilde)
-            for _ in range(INJECTIVITY_TRIALS if basis else 0):
-                coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-                I = sum(c * B for c, B in zip(coeffs, basis))
-                svals = np.linalg.svd(I, compute_uv=False)
-                if svals[-1] > 0 and svals[0] / svals[-1] <= WITNESS_COND_BOUND:
-                    _verify_witness(Z, Ztilde, I / svals[0])
-                    mults = tuple(combo.count(i) for i in range(len(generators)))
-                    return EnvelopeWitness("similarity", mults, I / svals[0])
+                                   ) -> EnvelopeWitness | None:
+    """A square intertwiner of condition number at most ``WITNESS_COND_BOUND``, or None.
+
+    Exact outside the full envelope, randomized (probability one) inside:
+    each multiset of generators with a nonzero basis and levels summing to
+    level(Ztilde) gets ``INJECTIVITY_TRIALS`` random intertwiners (fixed
+    seed), each a stack of one random combination of each chosen basis.
+    """
+    bases, cut = _generator_bases(Ztilde, generators)
+    if cut is None:
+        return None
+    usable = [i for i, basis in enumerate(bases) if basis]
+    rng = np.random.default_rng(0)
+    for combo in (c for total in range(1, Ztilde.n + 1)
+                  for c in itertools.combinations_with_replacement(usable, total)
+                  if sum(generators[i].n for i in c) == Ztilde.n):
+        for _ in range(INJECTIVITY_TRIALS):
+            I = np.vstack([np.tensordot(complex_gaussian(rng, len(bases[i])), bases[i], 1)
+                           for i in combo])
+            svals = np.linalg.svd(I, compute_uv=False)
+            if svals[-1] > 0 and svals[0] / svals[-1] <= WITNESS_COND_BOUND:
+                mults = tuple(combo.count(i) for i in range(len(generators)))
+                _verify_witness(nc_envelope_point(generators, mults), Ztilde, I / svals[0])
+                return EnvelopeWitness("similarity", mults, I / svals[0])
     return None
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from ncpick.core import DimensionMismatchError, DomainError, MatrixTuple, _eval_poly, amp, \
     direct_sum_many, operator_norm
-from ncpick.envelopes import INJECTIVITY_TOL, INJECTIVITY_TRIALS, intertwiner_space
+from ncpick.envelopes import INJECTIVITY_TOL, INJECTIVITY_TRIALS, WITNESS_COND_BOUND, \
+    intertwiner_space
 from ncpick.realization import amplify
 
 
@@ -224,7 +225,7 @@ def ltoa_word_sum(S, Z0: MatrixTuple, X, twisted: bool) -> np.ndarray:
     return out
 
 
-# The generator-multiset search, an oracle for the exact full-envelope test
+# Generator-multiset searches, oracles for the envelope membership tests
 
 
 def full_envelope_search(Ztilde: MatrixTuple, generators, seed: int = 0):
@@ -246,4 +247,29 @@ def full_envelope_search(Ztilde: MatrixTuple, generators, seed: int = 0):
                 I = I / max(np.linalg.norm(I, 2), 1e-300)
                 if np.linalg.svd(I, compute_uv=False)[-1] > INJECTIVITY_TOL:
                     return tuple(combo.count(i) for i in range(len(generators))), I
+    return None
+
+
+def similarity_envelope_search(Ztilde: MatrixTuple, generators, seed: int):
+    """(multiplicities, intertwiner) of a similarity witness, or None.
+
+    Every multiset of at most level(Ztilde) generators whose direct sum Z has
+    level exactly level(Ztilde) gets ``INJECTIVITY_TRIALS`` random elements
+    of Int(Z <- Ztilde), from the nullspace of Z's own Sylvester system,
+    each scaled to norm 1; the first of condition number at most
+    ``WITNESS_COND_BOUND`` is the witness.
+    """
+    rng = np.random.default_rng(seed)
+    for total in range(1, Ztilde.n + 1):
+        for combo in itertools.combinations_with_replacement(range(len(generators)), total):
+            if sum(generators[i].n for i in combo) != Ztilde.n:
+                continue
+            Z = direct_sum_many([generators[i] for i in combo])
+            basis = intertwiner_space(Z, Ztilde)
+            for _ in range(INJECTIVITY_TRIALS if basis else 0):
+                coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+                I = sum(c * B for c, B in zip(coeffs, basis))
+                svals = np.linalg.svd(I, compute_uv=False)
+                if svals[-1] > 0 and svals[0] / svals[-1] <= WITNESS_COND_BOUND:
+                    return tuple(combo.count(i) for i in range(len(generators))), I / svals[0]
     return None

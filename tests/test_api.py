@@ -44,14 +44,14 @@ def test_traced_names_exist():
 # Every parameter with a default of a public callable (in ``ncpick.__all__`` or a
 # module's ``__all__``), keyed by defining module and name.  A setting no caller
 # sets belongs in a module constant; adding or removing one means editing this
-# table.  36 parameters (53 before the envelope, sampling, extraction, core,
+# table.  34 parameters (53 before the envelope, sampling, extraction, core,
 # realization and refuter tolerances became constants, 38 before the full
-# envelope became an exact test).
+# envelope became an exact test, 36 before the similarity envelope lost its
+# multiplicity bound and seed).
 DEFAULTED_PARAMETERS = {
     "core.NcMatrixPolynomial": ("terms",),
     "envelopes.JordanData": ("ambiguous",),
     "envelopes.jordan_spectral_data": ("cluster_tol",),
-    "envelopes.similarity_envelope_membership": ("max_multiplicity", "seed"),
     "envelopes.zariski_membership_d1": ("cluster_tol",),
     "interpolation.SolveReport": ("colligation", "interp_residual", "contractivity_samples",
                                   "diagnostics"),
@@ -97,7 +97,7 @@ def defaulted_parameters() -> dict[str, tuple[str, ...]]:
 def test_defaulted_parameters_match_the_budget():
     found = defaulted_parameters()
     assert found == DEFAULTED_PARAMETERS
-    assert sum(map(len, found.values())) == 36
+    assert sum(map(len, found.values())) == 34
 
 
 def unused_imports(source: str) -> list[str]:
@@ -204,4 +204,4 @@ def test_commands_read_exactly_their_options():
     cli = importlib.import_module("ncpick.cli")
     declared = {handler.__name__: set(options) for handler, options in cli._COMMANDS.values()}
     assert option_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == declared
-    assert sum(map(len, declared.values())) == 11
+    assert sum(map(len, declared.values())) == 9

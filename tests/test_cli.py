@@ -287,15 +287,14 @@ class TestOtherCommands:
         assert code == 0 and doc["member"] is True
 
     @pytest.mark.parametrize("kind", ["full", "similarity"])
-    @pytest.mark.parametrize("bound", ["0", "-2"])
-    def test_envelope_multiplicity_bound_is_an_error(self, capsys, monkeypatch, kind, bound):
-        Z = encode_tuple(mt(np.array([[0.5]])))
-        payload = {"Ztilde": Z, "generators": [Z], "kind": kind}
-        code, doc, _ = run_cli(["envelope", "--max-multiplicity", bound], payload,
-                               capsys, monkeypatch)
+    def test_envelope_variable_count_mismatch_is_an_error(self, capsys, monkeypatch, kind):
+        # a d = 1 point and a d = 2 generator: both kinds refuse the input
+        payload = {"Ztilde": encode_tuple(mt(np.array([[0.5]]))),
+                   "generators": [encode_tuple(mt(np.eye(2), np.eye(2)))], "kind": kind}
+        code, doc, _ = run_cli(["envelope"], payload, capsys, monkeypatch)
         assert code == 2
-        assert doc["error"] == {"type": "ValueError",
-                                "message": "max_multiplicity must be at least 1"}
+        assert doc["error"] == {"type": "DimensionMismatchError",
+                                "message": "tuples over different variable counts"}
 
     def test_cp_check(self, capsys, monkeypatch):
         payload = {
@@ -486,11 +485,12 @@ class TestErrors:
         (["eval", "--samples", "5"], "unrecognized arguments: --samples"),
         (["eval", "--tol", "1e-3"], "unrecognized arguments: --tol"),
         (["domain-check", "--tol", "-1"], "unrecognized arguments: --tol"),
+        (["envelope", "--max-multiplicity", "2"], "unrecognized arguments: --max-multiplicity"),
         (["pick-solve", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
         (["pick-solve", "--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
-    ], ids=["unread-samples", "unread-tol", "unread-negative-tol", "bad-type", "unknown-flag",
-            "no-command"])
+    ], ids=["unread-samples", "unread-tol", "unread-negative-tol", "envelope-takes-no-flags",
+            "bad-type", "unknown-flag", "no-command"])
     def test_argument_errors_answer_with_the_error_document(self, capsys, monkeypatch, argv,
                                                             message):
         # checked before the input is read: stdin holds no document
@@ -506,14 +506,6 @@ class TestErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(
             f"ncpick {ncpick.__version__}" if argv == ["--version"] else "usage: ncpick")
-
-    def test_max_multiplicity_echoed_only_when_given(self, capsys, monkeypatch):
-        payload = VALID_DOCUMENTS["envelope"]
-        _, given, _ = run_cli(["envelope", "--max-multiplicity", "2"], payload, capsys,
-                              monkeypatch)
-        assert given["params"] == {"max_multiplicity": 2, "seed": 0}
-        _, default, _ = run_cli(["envelope"], payload, capsys, monkeypatch)
-        assert default["params"] == {"seed": 0}
 
 
 def _valid_documents() -> dict:
@@ -616,11 +608,11 @@ def answer(command, text):
 @pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
 def test_valid_documents_answer(command):
     # the starting points of the input-contract property are valid input, and
-    # params holds exactly the command's options (max_multiplicity only when given)
+    # params holds exactly the command's options
     code, out, _ = answer(command, json.dumps(VALID_DOCUMENTS[command]))
     doc = json.loads(out)
     assert code in (0, 1) and "error" not in doc
-    assert set(doc["params"]) == set(cli._COMMANDS[command][1]) - {"max_multiplicity"}
+    assert set(doc["params"]) == set(cli._COMMANDS[command][1])
 
 
 @pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpick import envelopes
-from ncpick.core import _eval_poly, similarity
+from ncpick.core import _eval_poly, direct_sum_many, similarity
 from ncpick.envelopes import (
     INJECTIVITY_TOL,
+    WITNESS_COND_BOUND,
     full_envelope_membership,
     intertwiner_space,
     jordan_spectral_data,
@@ -16,7 +17,11 @@ from ncpick.envelopes import (
 )
 from ncpick.sampling import complex_gaussian
 
-from conftest import block_diag, count_calls, full_envelope_search, jordan_cell, mt
+from conftest import block_diag, count_calls, full_envelope_search, jordan_cell, mt, \
+    similarity_envelope_search
+
+# how _envelope_case builds a point from d = 2 generators
+CONSTRUCTIONS = ["similar-sum", "cyclic-restriction", "transpose", "random"]
 
 
 def eval_d1(poly, M):
@@ -97,30 +102,13 @@ class TestFullEnvelope:
         # nc membership implies similarity membership implies full membership
         gens = [mt(rng.standard_normal((2, 2))), mt(rng.standard_normal((1, 1)))]
         Zt = nc_envelope_point(gens, [1, 2])
-        assert similarity_envelope_membership(Zt, gens, max_multiplicity=4) is not None
+        assert similarity_envelope_membership(Zt, gens) is not None
         assert full_envelope_membership(Zt, gens) is not None
 
-    @given(seed=st.integers(0, 2**16),
-           construction=st.sampled_from(["similar-sum", "cyclic-restriction", "transpose",
-                                         "random"]))
+    @given(seed=st.integers(0, 2**16), construction=st.sampled_from(CONSTRUCTIONS))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_agrees_with_the_multiset_search(self, seed, construction):
-        # d = 2 generators with a common invariant flag; members are conjugated
-        # direct sums and restrictions of direct sums to invariant subspaces
-        rng = np.random.default_rng(seed)
-        gens = [_triangular_tuple(rng, int(rng.integers(1, 3)))
-                for _ in range(int(rng.integers(1, 4)))]
-        mults = [int(k) for k in rng.integers(0, 2, len(gens))]
-        mults[int(rng.integers(len(gens)))] = 1
-        Z = nc_envelope_point(gens, mults)
-        if construction == "similar-sum":
-            Zt = similarity(Z, np.eye(Z.n) + 0.3 * complex_gaussian(rng, (Z.n, Z.n)))
-        elif construction == "cyclic-restriction":
-            Zt = _cyclic_restriction(rng, Z, [G.n for G, k in zip(gens, mults) for _ in range(k)])
-        elif construction == "transpose":
-            Zt = mt(*(c.T for c in Z.components))
-        else:
-            Zt = mt(*complex_gaussian(rng, (2, Z.n, Z.n)))
+        gens, Zt = _envelope_case(np.random.default_rng(seed), construction)
         w = full_envelope_membership(Zt, gens)
         assert (w is not None) == (full_envelope_search(Zt, gens, seed) is not None)
         if construction in ("similar-sum", "cyclic-restriction"):
@@ -164,7 +152,7 @@ class TestSimilarityEnvelope:
         Zt0 = nc_envelope_point(gens, [2])
         alpha = np.eye(4) + 0.25 * rng.standard_normal((4, 4))
         Zt = similarity(Zt0, alpha)
-        w = similarity_envelope_membership(Zt, gens, max_multiplicity=3, seed=5)
+        w = similarity_envelope_membership(Zt, gens)
         assert w is not None and w.kind == "similarity"
         svals = np.linalg.svd(w.matrix, compute_uv=False)
         assert svals[-1] > 0
@@ -172,20 +160,44 @@ class TestSimilarityEnvelope:
     def test_level_mismatch_absent(self, rng):
         gens = [mt(rng.standard_normal((2, 2)))]
         Zt = mt(rng.standard_normal((3, 3)))
-        assert similarity_envelope_membership(Zt, gens, max_multiplicity=1) is None
+        assert similarity_envelope_membership(Zt, gens) is None
 
     def test_self_member(self, rng):
         Z = mt(rng.standard_normal((3, 3)))
         assert similarity_envelope_membership(Z, [Z]) is not None
 
+    @given(seed=st.integers(0, 2**16), construction=st.sampled_from(CONSTRUCTIONS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_agrees_with_the_direct_sum_search(self, seed, construction):
+        gens, Zt = _envelope_case(np.random.default_rng(seed), construction)
+        w = similarity_envelope_membership(Zt, gens)
+        assert (w is not None) == (similarity_envelope_search(Zt, gens, seed) is not None)
+        if construction == "similar-sum":
+            assert w is not None
+        if w is not None:
+            assert w.matrix.shape == (Zt.n, Zt.n)
+            assert np.linalg.cond(w.matrix) <= WITNESS_COND_BOUND
+            sum_point = nc_envelope_point(gens, w.multiplicities)
+            for Zk, Ztk in zip(sum_point.components, Zt.components):
+                assert np.linalg.norm(w.matrix @ Ztk - Zk @ w.matrix, 2) <= 1e-9
 
-@pytest.mark.parametrize("search", [similarity_envelope_membership])
-@pytest.mark.parametrize("bound", [0, -2])
-def test_multiplicity_bound_validated(search, bound):
-    # an empty search would answer "not a member"; the search refuses it
-    Z = mt(np.array([[0.5]]))
-    with pytest.raises(ValueError, match="max_multiplicity must be at least 1"):
-        search(Z, [Z], max_multiplicity=bound)
+    def test_one_basis_per_generator_and_no_draws_outside(self, monkeypatch, rng):
+        gens = [_triangular_tuple(rng, 2) for _ in range(3)]
+        member = similarity(nc_envelope_point(gens, [1, 0, 2]),
+                            np.eye(6) + 0.3 * complex_gaussian(rng, (6, 6)))
+        # gens[0] plus a random level-2 point, which has no invariant subspace:
+        # the bases are nonzero and multisets of level 4 exist, but the stack
+        # has a kernel
+        outside = direct_sum_many([gens[0], mt(*complex_gaussian(rng, (2, 2, 2)))])
+        assert any(intertwiner_space(G, outside) for G in gens)
+        spaces = count_calls(monkeypatch, envelopes, "intertwiner_space")
+        sums = count_calls(monkeypatch, envelopes, "direct_sum_many")
+        draws = count_calls(monkeypatch, np.random, "default_rng")
+        assert similarity_envelope_membership(outside, gens) is None
+        assert len(spaces) == 3 and sums == [] and draws == []
+        spaces.clear()
+        assert similarity_envelope_membership(member, gens) is not None
+        assert len(spaces) == 3 and len(sums) == 1 and len(draws) == 1
 
 
 class TestIntertwinerSpace:
@@ -334,6 +346,26 @@ def _restriction_of(rng, gen):
     M = jordan_cell(lam, size)
     U, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
     return U @ M @ U.conj().T
+
+
+def _envelope_case(rng, construction):
+    """d = 2 generators with a common invariant flag, and a point built from
+    a direct sum of them: conjugated, restricted to a cyclic invariant
+    subspace, transposed, or replaced by a random tuple of its level."""
+    gens = [_triangular_tuple(rng, int(rng.integers(1, 3)))
+            for _ in range(int(rng.integers(1, 4)))]
+    mults = [int(k) for k in rng.integers(0, 2, len(gens))]
+    mults[int(rng.integers(len(gens)))] = 1
+    Z = nc_envelope_point(gens, mults)
+    if construction == "similar-sum":
+        Zt = similarity(Z, np.eye(Z.n) + 0.3 * complex_gaussian(rng, (Z.n, Z.n)))
+    elif construction == "cyclic-restriction":
+        Zt = _cyclic_restriction(rng, Z, [G.n for G, k in zip(gens, mults) for _ in range(k)])
+    elif construction == "transpose":
+        Zt = mt(*(c.T for c in Z.components))
+    else:
+        Zt = mt(*complex_gaussian(rng, (2, Z.n, Z.n)))
+    return gens, Zt
 
 
 def _triangular_tuple(rng, n):
