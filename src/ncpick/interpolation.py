@@ -44,6 +44,7 @@ from .kernels import (
     PsdCertificate,
     _certified_factor,
     _dbr_choi,
+    _on_support,
     _szego_solve,
     psd_check,
 )
@@ -103,8 +104,9 @@ def multi_point_to_single(problems: Sequence[PickProblem]) -> PickProblem:
     """Fuse finitely many problems sharing Q0 into one single-point problem.
 
     Nodes and tangential data are direct-summed; row spaces E_i of the
-    summands are embedded into their direct sum, so heterogeneous E
-    dimensions only add zero rows (harmless for the PSD verdict).
+    summands are embedded into their direct sum.  This adds exactly-zero
+    rows and columns to the Choi matrix, which the certificates drop, so
+    ``min_eig`` stays the margin of the summands' data.
     """
     if not problems:
         raise ValueError("need at least one problem")
@@ -141,11 +143,12 @@ def pick_certificate(p: PickProblem,
 
     Certifies the Choi matrix of the de Branges-Rovnyak map at the node
     itself (level n); by Choi's theorem that one test decides complete
-    positivity.  ``min_eig`` is the node-level margin: a k-fold repeated
-    node would only scale the spectrum by k and add zeros.
+    positivity.  It runs on the matrix's support (``kernels._on_support``),
+    so ``min_eig`` is the node-level margin of the data, not of the exact
+    zeros of a fused, diagonal or repeated node.  The Choi matrix is returned whole.
     """
     choi = _dbr_choi(p)
-    return psd_check(choi.matrix, rel_tol=rel_tol), choi
+    return psd_check(_on_support(choi.matrix)[0], rel_tol=rel_tol), choi
 
 
 @dataclass(frozen=True)
@@ -270,11 +273,12 @@ def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0
     by one PSD test on its Choi matrix at the node's own level n, which is
     equivalent to the value dominating the node in the Stein sense.  That
     map is the de Branges-Rovnyak map of ``PickProblem(Q0, Z0, I, Lambda0)``,
-    which validates the data.  ``min_eig`` is the node-level margin.
+    which validates the data.  ``min_eig`` is the node-level margin on the
+    Choi matrix's support, as in ``pick_certificate``.
     """
     L0 = np.asarray(Lambda0, dtype=complex)
     p = PickProblem(Q0, Z0, np.eye(L0.shape[0], dtype=complex), L0)
-    return psd_check(_dbr_choi(p).matrix, rel_tol=rel_tol)
+    return psd_check(_on_support(_dbr_choi(p).matrix)[0], rel_tol=rel_tol)
 
 
 def _slab_shift(Q: NcMatrixPolynomial, Z0: MatrixTuple, k: int,

@@ -117,8 +117,8 @@ def psd_check(M, rel_tol: float = PSD_REL_TOL) -> PsdCertificate:
     1e-8 relative to the norm is an error.
     """
     A = np.asarray(M, dtype=complex)
-    if A.size == 0:
-        return PsdCertificate("psd", 0.0, 0.0, rel_tol)
+    if A.size == 0:  # read as the zero spectrum, as ``_certified_factor`` reads it
+        return _certificate(0.0, 0.0, rel_tol)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError("psd_check needs a square matrix")
     eigs = np.linalg.eigvalsh(_hermitian_part(A))
@@ -152,36 +152,48 @@ class ChoiMatrix:
 
 @dataclass(frozen=True)
 class KolmogorovFactor:
-    """Blocks B_1..B_n with Choi block (i, j) = B_i B_j^*; rank = state dim."""
+    """Blocks B_1..B_n, one (n, block_dim, rank) array: Choi block (i, j) = B_i B_j^*."""
 
     rank: int
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     @property
     def stacked(self) -> np.ndarray:
         """Row concatenation H = [B_1 ... B_n]: C^n (x) X -> block space."""
-        if not self.blocks:
-            return np.zeros((0, 0), dtype=complex)
-        return np.hstack(self.blocks)
+        n, b, rank = self.blocks.shape
+        return self.blocks.transpose(1, 0, 2).reshape(b, n * rank)
+
+
+def _on_support(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C less each row that is exactly zero with its column (C itself if none), and the kept mask.
+
+    Such a pair only adds a structural zero eigenvalue.  Every nonzero entry
+    stays, so the Hermiticity test of the restricted matrix is that of C.
+    """
+    nonzero = C != 0
+    live = nonzero.any(axis=0) | nonzero.any(axis=1)
+    return (C if live.all() else C[np.ix_(live, live)]), live
 
 
 def _certified_factor(C: ChoiMatrix,
                       psd_tol: float) -> tuple[PsdCertificate, KolmogorovFactor | None]:
     """PSD certificate of C and, on a ``psd`` verdict, its Kolmogorov factor.
 
-    One ``eigh`` gives both: the verdict is ``psd_check``'s dead band at
-    ``psd_tol``, and the factor keeps the eigenvalues above
-    ``KOLMOGOROV_RANK_TOL`` times the largest (none if that is not positive).
+    One ``eigh`` of C on its support (``_on_support``) gives both: the
+    verdict is ``psd_check``'s dead band at ``psd_tol``, and the factor keeps
+    the eigenvalues above ``KOLMOGOROV_RANK_TOL`` times the largest (none if
+    that is not positive), with zero rows off the support.
     """
-    b = C.block_dim
-    vals, vecs = np.linalg.eigh(_hermitian_part(C.matrix))
+    S, live = _on_support(C.matrix)
+    vals, vecs = np.linalg.eigh(_hermitian_part(S))
     lo, hi = (float(vals[0]), float(vals[-1])) if vals.size else (0.0, 0.0)
     cert = _certificate(lo, hi, psd_tol)
     if not cert.is_psd:
         return cert, None
     keep = vals > KOLMOGOROV_RANK_TOL * max(cert.max_eig, 0.0)
-    F = vecs[:, keep] * np.sqrt(vals[keep])
-    return cert, KolmogorovFactor(F.shape[1], tuple(F[i * b : (i + 1) * b] for i in range(C.n)))
+    F = np.zeros((live.size, np.count_nonzero(keep)), dtype=complex)
+    F[live] = vecs[:, keep] * np.sqrt(vals[keep])
+    return cert, KolmogorovFactor(F.shape[1], F.reshape(C.n, C.block_dim, F.shape[1]))
 
 
 def kolmogorov_factor(C: ChoiMatrix, *, psd_tol: float = PSD_REL_TOL) -> KolmogorovFactor:

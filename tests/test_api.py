@@ -44,10 +44,11 @@ def test_traced_names_exist():
 # Every parameter with a default of a public callable (in ``ncpick.__all__`` or a
 # module's ``__all__``), keyed by defining module and name.  A setting no caller
 # sets belongs in a module constant; adding or removing one means editing this
-# table.  34 parameters (53 before the envelope, sampling, extraction, core,
+# table.  33 parameters (53 before the envelope, sampling, extraction, core,
 # realization and refuter tolerances became constants, 38 before the full
 # envelope became an exact test, 36 before the similarity envelope lost its
-# multiplicity bound and seed).
+# multiplicity bound and seed, 34 before every synthesis set its
+# interpolation residual).
 DEFAULTED_PARAMETERS = {
     "core.NcMatrixPolynomial": ("terms",),
     "envelopes.JordanData": ("ambiguous",),
@@ -65,7 +66,6 @@ DEFAULTED_PARAMETERS = {
     "kernels.kolmogorov_factor": ("psd_tol",),
     "kernels.psd_check": ("rel_tol",),
     "realization.Colligation": ("flags",),
-    "realization.SynthesisDiagnostics": ("interp_residual",),
     "realization.lurking_isometry_synthesize": ("tol", "completion"),
     "realization.random_contractive_colligation": ("seed", "unitary"),
     "sampling.random_row_poly": ("degree", "terms", "include_constant", "scale"),
@@ -97,7 +97,7 @@ def defaulted_parameters() -> dict[str, tuple[str, ...]]:
 def test_defaulted_parameters_match_the_budget():
     found = defaulted_parameters()
     assert found == DEFAULTED_PARAMETERS
-    assert sum(map(len, found.values())) == 34
+    assert sum(map(len, found.values())) == 33
 
 
 def unused_imports(source: str) -> list[str]:
@@ -204,4 +204,4 @@ def test_commands_read_exactly_their_options():
     cli = importlib.import_module("ncpick.cli")
     declared = {handler.__name__: set(options) for handler, options in cli._COMMANDS.values()}
     assert option_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == declared
-    assert sum(map(len, declared.values())) == 9
+    assert sum(map(len, declared.values())) == 8

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncpick
-from ncpick import cli
+from ncpick import cli, interpolation
 from ncpick.cli import main
 from ncpick.interpolation import stein_dominance_certificate
 from ncpick.kernels import cp_check_finite
-from ncpick.realization import Colligation, RealizedFunction, random_contractive_colligation, \
-    transfer_eval
+from ncpick.realization import Colligation, RealizedFunction, SynthesisConsistencyError, \
+    random_contractive_colligation, transfer_eval
 from ncpick.sampling import sample_in_domain
 from ncpick.serialize import (
     decode_colligation,
@@ -223,6 +223,26 @@ def test_cp_check_margin_is_the_pick_matrix(capsys, monkeypatch, tol):
     assert cert["min_eig"] == pytest.approx(0.016688, rel=1e-4)
 
 
+def _diagonal_pick_payload():
+    """The three scalar nodes as one diagonal level-3 node, with values 0.2 z."""
+    Z0 = np.diag(SCALAR_NODES)
+    return {"Q0": Z_POLY, "Z0": encode_tuple(mt(Z0)), "A0": encode_matrix(np.eye(3)),
+            "B0": encode_matrix(0.2 * Z0)}
+
+
+@pytest.mark.parametrize("tol", ["1e-18", "1e-15", "1e-12", "1e-9", "1e-6", "1e-3"])
+def test_pick_check_margin_is_the_pick_matrix(capsys, monkeypatch, tol):
+    # the diagonal node's Choi matrix is the classical Pick matrix plus six
+    # exactly-zero rows and columns, which the certificate drops
+    zs = np.array(SCALAR_NODES)
+    pick = (1 - 0.04 * np.outer(zs, zs.conj())) / (1 - np.outer(zs, zs.conj()))
+    code, doc, _ = run_cli(["pick-check", "--tol", tol], _diagonal_pick_payload(), capsys,
+                           monkeypatch)
+    cert = doc["certificate"]
+    assert code == 0 and cert["verdict"] == "psd" and cert["marginal"] is False
+    assert abs(cert["min_eig"] - np.linalg.eigvalsh(pick)[0]) <= 1e-12
+
+
 def test_cp_check_stdout_matches_json_encoder(capsys, monkeypatch, rng):
     # a three-point input with levels 1, 2, 2: 16 of the 25 Choi rows are zero
     Q = NcMatrixPolynomial.row_pencil(2)
@@ -327,6 +347,24 @@ class TestOtherCommands:
 
 
 class TestErrors:
+    def test_runtime_error_answers_the_error_document(self, capsys, monkeypatch):
+        def fail(*args):
+            raise SynthesisConsistencyError("Gram equality violated")
+
+        monkeypatch.setattr(interpolation, "_synthesize", fail)
+        code, doc, out = run_cli(["pick-solve"], _diagonal_pick_payload(), capsys, monkeypatch)
+        assert code == 2 and out.count("\n") == 1
+        assert doc["error"] == {"type": "SynthesisConsistencyError",
+                                "message": "Gram equality violated"}
+
+    def test_tiny_tol_solve_answers_one_line(self, capsys, monkeypatch):
+        # the data is feasible with margin 0.016; at --tol 1e-18 the Gram check
+        # may fail on rounding, which is an error (2), never infeasible (1)
+        code, doc, out = run_cli(["pick-solve", "--tol", "1e-18"], _diagonal_pick_payload(),
+                                 capsys, monkeypatch)
+        assert code in (0, 2) and out.count("\n") == 1
+        assert doc["v"] == 1 and ("error" in doc) == (code == 2)
+
     def test_malformed_json_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
         code = main(["domain-check"])

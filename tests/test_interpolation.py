@@ -174,6 +174,45 @@ class TestPickCertificate:
                 cert, _ = pick_certificate(PickProblem(Q, Z0, np.eye(2), t * S0))
                 assert cert.is_psd
 
+    @given(d=st.integers(1, 2), levels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           e=st.integers(1, 2), diagonal=st.booleans(), t=st.floats(0.5, 1.5),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_certificate_reads_the_support_spectrum(self, d, levels, e, diagonal, t, seed):
+        # at a fused node (or a diagonal node with diagonal data, the fusion of
+        # its scalar points) the Choi matrix has exactly-zero rows and
+        # columns; the certified spectrum is the full one less those zeros,
+        # and the factor reproduces the full matrix with zero rows off the support
+        rng = np.random.default_rng(seed)
+        Q = NcMatrixPolynomial.row_pencil(d)
+        source = RealizedFunction(random_contractive_colligation(2, 1, 1, d, seed=seed), Q)
+        sizes = [1] * sum(levels) if diagonal else levels
+        problems = []
+        for n in sizes:
+            Z0 = sample_in_domain(Q, n, rng, 0.6)
+            a0 = complex_gaussian(rng, (e * n, n))
+            problems.append(PickProblem(Q, Z0, a0, t * a0 @ transfer_eval(source, Z0)))
+        p = multi_point_to_single(problems)
+        choi = kernels._dbr_choi(p).matrix
+        support, live = kernels._on_support(choi)
+        full = np.linalg.eigvalsh(choi)
+        dropped = choi.shape[0] - support.shape[0]
+        assert dropped == (0 if live is None else np.count_nonzero(~live))
+        # the full spectrum less the `dropped` eigenvalues nearest zero
+        want = np.sort(full[np.argsort(np.abs(full))[dropped:]])
+        got = np.linalg.eigvalsh(support)
+        scale = 1e-10 * max(1.0, np.max(np.abs(full)))
+        assert np.max(np.abs(got - want)) <= scale
+        cert, _ = pick_certificate(p)
+        assert abs(cert.min_eig - want[0]) <= scale and abs(cert.max_eig - want[-1]) <= scale
+        factor_cert, factor = kernels._certified_factor(kernels._dbr_choi(p), 1e-9)
+        assert abs(factor_cert.min_eig - want[0]) <= scale
+        if factor is not None:
+            H = factor.blocks.reshape(choi.shape[0], factor.rank)
+            assert np.linalg.norm(H @ H.conj().T - choi) <= 1e-9 * max(1.0, np.linalg.norm(choi))
+            if live is not None:
+                assert not H[~live].any()
+
 
 def looped_fusion(problems):
     """Fused A0 and B0 placed one (row, column) block at a time (oracle)."""
@@ -342,6 +381,17 @@ class TestSolvePick:
         p = PickProblem(Q, Z0, np.eye(2), np.zeros((2, 2)))
         rep = solve_pick(p, samples=10)
         assert rep.feasible and rep.interp_residual <= 1e-9
+
+    def test_zero_data_is_a_marginal_boundary(self, rng):
+        # the Choi matrix of zero data is all zero rows, so its support is
+        # empty; both certificates still read the zero spectrum at the boundary
+        Q = NcMatrixPolynomial.row_pencil(2)
+        p = PickProblem(Q, sample_in_domain(Q, 2, rng, 0.5), np.zeros((2, 2)), np.zeros((2, 2)))
+        cert, _ = pick_certificate(p)
+        rep = solve_pick(p, samples=0)
+        assert cert == rep.certificate
+        assert (cert.verdict, cert.min_eig, cert.max_eig, cert.marginal) == ("psd", 0.0, 0.0, True)
+        assert rep.colligation.dimX == 0
 
     @pytest.mark.parametrize("route", ["solve_pick", "synthesize"])
     @pytest.mark.parametrize("feasible", [True, False])

@@ -39,7 +39,7 @@ class TestPsdCheck:
         assert not cert.is_psd
 
     @given(arrays(np.float64, (4, 4), elements=st.floats(-2, 2)))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_gram_matrices_pass(self, A):
         cert = psd_check(A @ A.T)
         assert cert.is_psd

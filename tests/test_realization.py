@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from ncpick.kernels import PSD_REL_TOL, NotPsdError, PickProblem, _phi_matrix, d
 from ncpick.realization import (
     SVD_RANK_TOL,
     Colligation,
+    _unitary_completion,
     RealizedFunction,
     _input_map,
     amplify,
@@ -401,6 +404,33 @@ class TestSynthesis:
         assert operator_norm(U.conj().T @ U - np.eye(U.shape[1])) <= 1e-10
         f2 = RealizedFunction(col, Q)
         assert np.linalg.norm(transfer_eval(f2, Z0) - Lam0, 2) <= 1e-8
+
+    @given(r=st.integers(1, 3), X=st.integers(0, 3), y=st.integers(1, 2),
+           pad=st.integers(0, 2), k=st.integers(0, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_unitary_completion_from_two_complete_qrs(self, r, X, y, pad, k, seed):
+        # a random partial isometry images Q1^* with the defect dimensions of a
+        # state pad (none at r = 1): the completion is unitary, maps the
+        # padded Q1 onto the padded images, and takes no SVD
+        rng = np.random.default_rng(seed)
+        pad = pad if r > 1 else 0
+        u = (r - 1) * (X + pad) + y
+        k = min(k, r * X + y, X + u)
+        Q1 = np.linalg.qr(complex_gaussian(rng, (r * X + y, k)))[0]
+        images = np.linalg.qr(complex_gaussian(rng, (X + u, k)))[0]
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            Xp, Ustar = _unitary_completion(Q1, images, X, u, y, r)
+        assert svd.call_count == 0
+        assert Xp == X + pad and Ustar.shape == (Xp + u, r * Xp + y)
+        assert operator_norm(Ustar.conj().T @ Ustar - np.eye(r * Xp + y)) <= 1e-12
+        # tensor-slot row (rho, x) moves to rho X' + x and output row j to r X' + j;
+        # state row x stays and input row j moves to X' + j
+        slot_rows = [rho * Xp + x for rho in range(r) for x in range(X)]
+        Q1e = np.zeros((r * Xp + y, k), dtype=complex)
+        Q1e[slot_rows + [r * Xp + j for j in range(y)]] = Q1
+        padded = np.zeros((Xp + u, k), dtype=complex)
+        padded[list(range(X)) + [Xp + j for j in range(u)]] = images
+        assert np.linalg.norm(Ustar @ Q1e - padded) <= 1e-12 * max(1, k)
 
     def test_unitary_completion_shape_mismatch(self, rng):
         # for r >= 2 with a nonzero state no finite pad matches the defects
