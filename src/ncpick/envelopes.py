@@ -8,20 +8,21 @@ outside the full envelope and otherwise randomized: invertible intertwiners
 form a Zariski-open set, so a random one is invertible with probability one
 whenever any is.
 
-For one variable the full envelope coincides with the set of matrices whose
-Jordan data is dominated by the generators'.  The eigenvalues of the point
-and of every generator are clustered once, together (single linkage at
-``CLUSTER_TOL``), and each matrix's longest Jordan chain is read per
-cluster.  A non-member comes with the separating polynomial
-prod_c (z - lambda_c)^(g_c) over the generator clusters, which vanishes on
-the generators but not at the point; it is built from its roots, with no
-linear solve.
+For one variable the Zariski closure is the full envelope, so its verdict
+is the same exact test.  Only a non-member's separating polynomial reads
+Jordan data: p = prod_c (z - lambda_c)^(g_c) over the eigenvalue clusters
+of the generators' direct sum (single linkage at ``CLUSTER_TOL``, longest
+chain g_c per cluster), which vanishes on the generators.  It is built
+from its roots, with no linear solve, and scaled so that
+||p(Ztilde)||_2 = 1.  A rounded Jordan block of size k splits into
+eigenvalues about eps^(1/k) apart, which a small ``cluster_tol`` reads as
+separate clusters; that inflates p on the generators but never moves the
+verdict.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .core import (
     DimensionMismatchError,
     MatrixTuple,
     NcMatrixPolynomial,
+    _eval_poly,
     direct_sum_many,
 )
 from .sampling import complex_gaussian
@@ -248,80 +250,57 @@ def _chain_length(A: np.ndarray, lam: complex) -> int:
     return n
 
 
-def _jordan_clusters(matrices: Sequence, tol: float,
-                     ) -> tuple[list[list[tuple[complex, int, int] | None]], bool]:
-    """Jordan data of square matrices over one clustering of their pooled eigenvalues.
-
-    Each cluster, in (real, imag) order of its pooled mean, lists per matrix
-    the (mean, chain length, multiplicity) of that matrix's eigenvalues in
-    it, or None where it has none; the flag is ``_cluster``'s.
-    """
-    As = [np.asarray(M, dtype=complex) for M in matrices]
-    for A in As:
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatchError("need a square matrix")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("matrix has non-finite entries")
-    eigs = [np.linalg.eigvals(A) for A in As]
-    pooled = np.concatenate(eigs)
-    owner = np.repeat(np.arange(len(As)), [e.size for e in eigs])
-    masks, ambiguous = _cluster(pooled, tol)
-    clusters = []
-    for inside in masks:
-        row: list[tuple[complex, int, int] | None] = [None] * len(As)
-        for m in np.unique(owner[inside]):
-            vals = pooled[inside & (owner == m)]
-            lam = complex(vals.mean())
-            row[m] = (lam, _chain_length(As[m], lam), vals.size)
-        mean = pooled[inside].mean()
-        clusters.append(((mean.real, mean.imag), row))
-    return [row for _, row in sorted(clusters, key=lambda c: c[0])], ambiguous
+def _square_matrix(M) -> np.ndarray:
+    """M as a complex array, checked square with finite entries."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatchError("need a square matrix")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    return A
 
 
 def jordan_spectral_data(M, cluster_tol: float = CLUSTER_TOL) -> JordanData:
     """Eigenvalue clusters of a matrix with maximal Jordan chain lengths.
 
-    Chain lengths come from the stabilization of nullities of powers of
-    M - lambda I (``_chain_length``) at each cluster's mean.
+    Clusters are single linkage at ``cluster_tol`` (``_cluster``), in
+    (real, imag) order of their means; chain lengths come from the
+    stabilization of nullities of powers of M - lambda I (``_chain_length``)
+    at each cluster's mean.
     """
-    clusters, ambiguous = _jordan_clusters([M], cluster_tol)
-    lams, chains, mults = zip(*(data for data, in clusters)) if clusters else ((), (), ())
-    return JordanData(lams, chains, mults, ambiguous)
+    A = _square_matrix(M)
+    eigs = np.linalg.eigvals(A)
+    masks, ambiguous = _cluster(eigs, cluster_tol)
+    clusters = sorted(((complex(eigs[inside].mean()), int(inside.sum())) for inside in masks),
+                      key=lambda c: (c[0].real, c[0].imag))
+    lams, mults = zip(*clusters) if clusters else ((), ())
+    return JordanData(lams, tuple(_chain_length(A, lam) for lam in lams), mults, ambiguous)
 
 
 def zariski_membership_d1(Ztilde, Omega_F: Sequence, cluster_tol: float = CLUSTER_TOL,
                           ) -> tuple[bool, NcMatrixPolynomial | None]:
-    """Decide single-variable Zariski-closure membership via Jordan data.
+    """Single-variable Zariski-closure membership, with a separating polynomial.
 
-    Ztilde belongs to the closure of a finite set of matrices iff every
-    eigenvalue of Ztilde appears among the generators with at least the
-    same maximal chain length.  The eigenvalues of Ztilde and of every
-    generator are clustered once, together.  For non-members the returned
-    polynomial is p = prod_c (z - lambda_c)^(g_c) over the generator
-    clusters (eigenvalue mean lambda_c, longest chain g_c), so it vanishes
-    on every generator.  At the first cluster where Ztilde's chain exceeds
-    the generators' g0 (zero where they have no eigenvalue; lambda0 is then
-    Ztilde's mean), p^(g0)(lambda0) = g0! prod_{c != c0} (lambda0 - lambda_c)^(g_c)
-    is nonzero, and p is divided by it.
+    For one variable the closure is the full envelope, so the verdict is
+    the exact common-kernel test of ``full_envelope_membership``; no
+    eigenvalue is clustered for a member.  For a non-member the returned
+    polynomial is p = prod_c (z - lambda_c)^(g_c) over the clusters of the
+    generators' direct sum (``jordan_spectral_data`` at ``cluster_tol``:
+    mean lambda_c, longest chain g_c), so it vanishes on every generator
+    whose Jordan data the clustering reads right, scaled so that
+    ||p(Ztilde)||_2 = 1.  A ``cluster_tol`` wide enough to
+    merge distinct generator eigenvalues can make p vanish at Ztilde too,
+    which raises ValueError.
     """
     if not Omega_F:
         raise ValueError("need at least one generator matrix")
-    clusters, _ = _jordan_clusters([Ztilde, *Omega_F], cluster_tol)
-    factors: list[tuple[complex, int]] = []  # (lambda_c, g_c) per generator cluster
-    offender = None  # (lambda0, g0, index of its factor or None)
-    for own, *gens in clusters:
-        present = [g for g in gens if g is not None]
-        if present:
-            mean = sum(mu * m for mu, _, m in present) / sum(m for *_, m in present)
-            factors.append((mean, max(chain for _, chain, _ in present)))
-        lam, order = factors[-1] if present else (own[0], 0)
-        if offender is None and own is not None and own[1] > order:
-            offender = (lam, order, len(factors) - 1 if present else None)
-    if offender is None:
+    Zt, *gens = (MatrixTuple((_square_matrix(M),)) for M in (Ztilde, *Omega_F))
+    if _generator_bases(Zt, gens)[1] is not None:
         return True, None
-    lam0, g0, c0 = offender
-    scale = math.factorial(g0) * math.prod(
-        (lam0 - lam) ** g for c, (lam, g) in enumerate(factors) if c != c0)
-    roots = [lam for lam, g in factors for _ in range(g)]
-    coeffs = np.atleast_1d(np.poly(roots))[::-1] / scale  # np.poly([]) is the scalar 1.0
-    return False, NcMatrixPolynomial.scalar_univariate(coeffs)
+    data = jordan_spectral_data(direct_sum_many(gens).components[0], cluster_tol)
+    roots = [lam for lam, g in data.as_pairs() for _ in range(g)]
+    coeffs = np.atleast_1d(np.poly(roots))[::-1]  # np.poly([]) is the scalar 1.0
+    scale = np.linalg.norm(_eval_poly(NcMatrixPolynomial.scalar_univariate(coeffs), Zt), 2)
+    if scale == 0:
+        raise ValueError("cluster_tol merges generator eigenvalues into a root of Ztilde")
+    return False, NcMatrixPolynomial.scalar_univariate(coeffs / scale)

@@ -2,8 +2,9 @@
 
 Complex scalars are ``[re, im]`` pairs, matrices are row-major nested
 arrays of those pairs.  Every decoder validates shapes and raises
-``ValueError`` on malformed payloads, non-finite matrix entries included,
-so the CLI can map them to its error exit code.
+``ValueError`` on malformed payloads, non-finite matrix entries included
+(``TypeError`` on a matrix entry that is not a number, a JSON string
+included), so the CLI can map them to its error exit code.
 
 ``matrix_json`` writes a matrix straight to its compact JSON text, the
 bytes ``json`` gives for ``encode_matrix``; exact +0.0 entries and rows
@@ -126,7 +127,7 @@ def decode_matrix(obj) -> np.ndarray:
         for j, z in enumerate(row):
             if not (isinstance(z, list) and len(z) == 2):
                 raise ValueError("complex scalars are [re, im] pairs")
-            out[i, j] = complex(float(z[0]), float(z[1]))
+            out[i, j] = complex(z[0], z[1])
     if not np.isfinite(out).all():
         # Python's json reads NaN and Infinity, which no JSON answer may echo
         raise ValueError("matrix entries must be finite")

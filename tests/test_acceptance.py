@@ -8,6 +8,7 @@ are asserted alongside the numerical checks.
 import time
 
 import numpy as np
+import pytest
 
 from ncpick.core import (
     MatrixTuple,
@@ -323,4 +324,27 @@ def test_10_realized_function_axioms():
         rhs = conj_y @ transfer_eval(f, Zs) @ np.linalg.inv(conj_u)
         scale = max(1.0, operator_norm(rhs))
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-8 * np.linalg.cond(alpha) * scale
+    budget.finish()
+
+
+def test_11_zariski_level_16_budget():
+    # the exact verdict takes one SVD of side 16 * 16 = 256 per generator,
+    # O((n m)^3) against the O(n^3) of clustering eigenvalues: this test
+    # took 0.17 s on a 2-core VM with one BLAS thread; the budget keeps that
+    # cost written down
+    budget = Budget("11 Zariski at level 16", 10.0)
+    rng = np.random.default_rng(1111)
+
+    def conjugated(M):
+        U, _ = np.linalg.qr(complex_gaussian(rng, M.shape))
+        return U @ M @ U.conj().T
+
+    pool = [-0.75, -0.25, 0.3, 0.8]
+    gens = [conjugated(block_diag(*(jordan_cell(lam, 4) for lam in pool))),
+            conjugated(np.diag(rng.uniform(-0.9, 0.9, 16)))]
+    assert zariski_membership_d1(conjugated(gens[0]), gens) == (True, None)
+    Zt = complex_gaussian(rng, (16, 16)) / 8
+    member, p0 = zariski_membership_d1(Zt, gens)
+    assert not member
+    assert np.linalg.norm(_eval_poly(p0, mt(Zt)), 2) == pytest.approx(1.0, rel=1e-9)
     budget.finish()

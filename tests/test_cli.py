@@ -18,7 +18,7 @@ from ncpick.interpolation import stein_dominance_certificate
 from ncpick.kernels import cp_check_finite
 from ncpick.realization import Colligation, RealizedFunction, SynthesisConsistencyError, \
     random_contractive_colligation, transfer_eval
-from ncpick.sampling import sample_in_domain
+from ncpick.sampling import complex_gaussian, sample_in_domain
 from ncpick.serialize import (
     decode_colligation,
     decode_matrix,
@@ -31,7 +31,7 @@ from ncpick.serialize import (
 )
 from ncpick.core import NcMatrixPolynomial, Word
 
-from conftest import mt, scalar_point
+from conftest import jordan_cell, mt, scalar_point
 
 
 def run_cli(args, payload=None, capsys=None, monkeypatch=None):
@@ -300,6 +300,15 @@ class TestOtherCommands:
         assert code == 1 and doc["member"] is False
         assert doc["separating_poly"] is not None
 
+    def test_zariski_similar_jordan_block_is_member(self, capsys, monkeypatch):
+        # U J4(-0.75) U^* is similar to J4(-0.75), though its computed
+        # eigenvalues split about 1e-4 apart
+        U, _ = np.linalg.qr(complex_gaussian(np.random.default_rng(7), (4, 4)))
+        J = jordan_cell(-0.75, 4)
+        payload = {"Ztilde": encode_matrix(U @ J @ U.conj().T), "Omega_F": [encode_matrix(J)]}
+        code, doc, _ = run_cli(["zariski"], payload, capsys, monkeypatch)
+        assert code == 0 and doc["member"] is True and doc["separating_poly"] is None
+
     def test_envelope(self, capsys, monkeypatch):
         Z = encode_tuple(mt(np.zeros((1, 1))))
         payload = {"Ztilde": Z, "generators": [Z], "kind": "full"}
@@ -372,6 +381,12 @@ class TestErrors:
         assert code == 2
         doc = json.loads(out.out)
         assert "error" in doc
+
+    def test_string_entries_exit_two(self, capsys, monkeypatch):
+        # a JSON string is not a number, even one that spells a number
+        payload = {"Q": Z_POLY, "Z": {"components": [[[["0.5", "0"]]]]}}
+        code, doc, _ = run_cli(["eval"], payload, capsys, monkeypatch)
+        assert code == 2 and doc["error"]["type"] == "TypeError"
 
     def test_missing_key_exit_two(self, capsys, monkeypatch):
         code, doc, _ = run_cli(["domain-check"], {"Q": Z_POLY}, capsys, monkeypatch)

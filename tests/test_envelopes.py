@@ -28,21 +28,6 @@ def eval_d1(poly, M):
     return _eval_poly(poly, mt(M))
 
 
-def poly_derivative_at(poly, lam, order):
-    """Direct differentiation of a scalar d=1 polynomial."""
-    coeffs = {}
-    for w, c in poly.terms.items():
-        coeffs[len(w)] = complex(c[0, 0])
-    total = 0.0
-    for k, c in coeffs.items():
-        if k >= order:
-            fall = 1.0
-            for t in range(order):
-                fall *= k - t
-            total += c * fall * lam ** (k - order)
-    return total
-
-
 class TestNcEnvelopePoint:
     def test_single_generator(self, rng):
         Z = mt(rng.standard_normal((2, 2)))
@@ -288,27 +273,28 @@ class TestZariski:
             w = full_envelope_membership(mt(Zt), [mt(gen)])
             assert member_z == (w is not None)
 
-    @pytest.mark.parametrize("Zt, gens, lam0, g0, coeffs", [
-        # one cluster, Ztilde's chain 3 beats the generator's 2: z^2 / 2!
-        (jordan_cell(0, 3), [jordan_cell(0, 2)], 0.0, 2, {2: 0.5}),
+    @pytest.mark.parametrize("Zt, gens, coeffs", [
+        # one cluster, Ztilde's chain 3 beats the generator's 2: z^2, ||J3(0)^2|| = 1
+        (jordan_cell(0, 3), [jordan_cell(0, 2)], {2: 1.0}),
         # a new eigenvalue 2: z (z - 1) / ((2 - 0) (2 - 1))
-        (np.array([[2.0]]), [np.diag([0.0, 1.0])], 2.0, 0, {1: -0.5, 2: 0.5}),
+        (np.array([[2.0]]), [np.diag([0.0, 1.0])], {1: -0.5, 2: 0.5}),
     ], ids=["deeper-chain", "new-eigenvalue"])
-    def test_separating_poly_is_the_root_product(self, Zt, gens, lam0, g0, coeffs):
+    def test_separating_poly_is_the_root_product(self, Zt, gens, coeffs):
         member, p0 = zariski_membership_d1(Zt, gens)
         assert not member
         got = {len(w): complex(c[0, 0]) for w, c in p0.terms.items() if c[0, 0] != 0}
         assert got.keys() == coeffs.keys()
         assert all(got[k] == pytest.approx(v, abs=1e-15) for k, v in coeffs.items())
-        assert poly_derivative_at(p0, lam0, g0) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(eval_d1(p0, Zt), 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_one_clustering_per_call(self, monkeypatch, rng):
+        # the verdict is the exact test: only a non-member's polynomial clusters
         clusterings = count_calls(monkeypatch, envelopes, "_cluster")
         gens = [_random_jordan(rng, [-0.5, 0.5], max_dim=3) for _ in range(3)]
-        for Zt in (jordan_cell(0.5, 2), gens[0]):
+        for Zt, member in ((jordan_cell(0.0, 2), False), (gens[0], True)):
             clusterings.clear()
-            zariski_membership_d1(Zt, gens, cluster_tol=1e-3)
-            assert len(clusterings) == 1
+            assert zariski_membership_d1(Zt, gens, cluster_tol=1e-3)[0] == member
+            assert len(clusterings) == (0 if member else 1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_split_jordan_block_vanishes_at_default_tol(self, seed):
@@ -322,6 +308,78 @@ class TestZariski:
         scale = max(1.0, max(abs(c[0, 0]) for c in p0.terms.values()))
         assert np.linalg.norm(eval_d1(p0, G), 2) <= 1e-12 * scale
         assert abs(eval_d1(p0, np.array([[0.8]]))[0, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_jordan_construction_oracle_at_default_tol(self, seed):
+        # one or two generators and the point are conjugated direct sums of
+        # Jordan blocks at exact pool values, levels 1-4: the point is a
+        # member iff each of its blocks fits under the generators' largest
+        # block at its eigenvalue (half the points are built to fit)
+        rng = np.random.default_rng(seed)
+        pool = dict.fromkeys([-0.75, -0.25, 0.3, 0.8], 4)
+        gen_blocks = [_jordan_blocks(rng, pool, int(rng.integers(1, 5)))
+                      for _ in range(int(rng.integers(1, 3)))]
+        largest = {}
+        for lam, size in (b for blocks in gen_blocks for b in blocks):
+            largest[lam] = max(largest.get(lam, 0), size)
+        blocks = _jordan_blocks(rng, largest if rng.integers(2) else pool,
+                                int(rng.integers(1, 5)))
+        gens = [_conjugated_blocks(rng, b) for b in gen_blocks]
+        Zt = _conjugated_blocks(rng, blocks)
+        member, p0 = zariski_membership_d1(Zt, gens)
+        assert member == all(size <= largest.get(lam, 0) for lam, size in blocks)
+        if not member:
+            assert np.linalg.norm(eval_d1(p0, Zt), 2) == pytest.approx(1.0, abs=1e-9)
+            scale = max(1.0, max(abs(c[0, 0]) for c in p0.terms.values()))
+            for G in gens:
+                assert np.linalg.norm(eval_d1(p0, G), 2) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_similar_jordan_block_is_member_and_a_longer_one_is_not(self, k):
+        J = jordan_cell(-0.75, k)
+        similar = _conjugated_blocks(np.random.default_rng(k), [(-0.75, k)])
+        assert zariski_membership_d1(similar, [J]) == (True, None)
+        shorter = jordan_cell(-0.75, k - 1)
+        member, p0 = zariski_membership_d1(J, [shorter])
+        assert not member
+        # p = (z + 3/4)^(k-1), and ||(J_k + 3/4)^(k-1)|| = 1
+        assert np.linalg.norm(eval_d1(p0, shorter), 2) <= 1e-12
+        assert np.linalg.norm(eval_d1(p0, J), 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_merging_tol_that_loses_the_separation_raises(self):
+        # at cluster_tol 1 the generator's 0 and 0.5 are one cluster at their
+        # mean 0.25, so the root product z - 0.25 vanishes at Ztilde = 0.25
+        with pytest.raises(ValueError, match="cluster_tol"):
+            zariski_membership_d1(np.array([[0.25]]), [np.diag([0.0, 0.5])], cluster_tol=1.0)
+
+    @pytest.mark.parametrize("gap, count", [(1e-2, 8), (1e-3, 4), (1e-4, 3)])
+    def test_close_distinct_spectra_keep_their_verdicts(self, gap, count):
+        # distinct eigenvalues close together: a similar matrix is a member,
+        # and dropping one eigenvalue from the generator makes a non-member
+        pts = gap * np.arange(count)
+        similar = _conjugated_blocks(np.random.default_rng(count), [(x, 1) for x in pts])
+        assert zariski_membership_d1(similar, [np.diag(pts)])[0]
+        assert not zariski_membership_d1(np.diag(pts), [np.diag(pts[:-1])])[0]
+
+
+def _jordan_blocks(rng, caps, level):
+    """Random (lambda, size) Jordan blocks of total size level, each at most caps[lambda]."""
+    lams = sorted(caps)
+    blocks = []
+    while level:
+        lam = lams[int(rng.integers(len(lams)))]
+        size = int(rng.integers(1, min(caps[lam], level) + 1))
+        blocks.append((lam, size))
+        level -= size
+    return blocks
+
+
+def _conjugated_blocks(rng, blocks):
+    """U (J_s1(lambda_1) + ... ) U^* for a random unitary U."""
+    M = block_diag(*(jordan_cell(lam, size) for lam, size in blocks))
+    U, _ = np.linalg.qr(complex_gaussian(rng, M.shape))
+    return U @ M @ U.conj().T
 
 
 def _random_jordan(rng, pool, max_dim):

@@ -437,14 +437,16 @@ class TestCpCheckFinite:
         Q = random_row_poly(rng, 2, r=2, degree=1)
         levels = (1, 2, 3)
         pts = [sample_in_domain(Q, lev, rng, 0.6) for lev in levels]
-        # one Hermitian part and one eigvalsh of it, with no second symmetrization
+        # one psd_check of the Hermitian part and one eigvalsh: psd_check's own
+        # symmetrization of that exactly Hermitian matrix changes no bit
         checks = count_calls(monkeypatch, np.linalg, "eigvalsh")
         herms = count_calls(monkeypatch, kernels, "_hermitian_part")
         psd_checks = count_calls(monkeypatch, kernels, "psd_check")
         _, choi = cp_check_finite(Q, pts)
         assert [np.shape(c[0]) for c in checks] == [(14, 14)]  # 1 + 4 + 9
-        assert len(herms) == 1 and psd_checks == []
+        assert len(herms) == 2 and len(psd_checks) == 1
         sup = choi_support(levels)
+        assert np.array_equal(psd_checks[0][0], choi.matrix[np.ix_(sup, sup)])
         assert np.array_equal(checks[0][0], choi.matrix[np.ix_(sup, sup)])
         off = np.ones(choi.matrix.shape[0], dtype=bool)
         off[sup] = False
