@@ -6,8 +6,8 @@ the arguments, reads the input, calls the handler and writes one JSON
 document to stdout; diagnostics go to stderr.  Exit codes: 0 for success /
 feasible / member, 1 for a well-posed negative answer, 2 for argument,
 input or runtime errors (a failed synthesis consistency check is a
-``RuntimeError``), each answered with the error document.  Identical input
-with identical flags produces byte-identical stdout.
+``RuntimeError``), each answered with the error document.  No command
+takes a seed, and identical input gives byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _cmd_pick_check(obj, args) -> tuple[dict, bool]:
 
 
 def _cmd_pick_solve(obj, args) -> tuple[dict, bool]:
-    rep = solve_pick(_decode_pick(obj), tol=args.tol, samples=args.samples, seed=args.seed)
+    rep = solve_pick(_decode_pick(obj), tol=args.tol)
     out = {
         "verdict": rep.certificate.verdict,
         "min_eig": float(rep.certificate.min_eig),
@@ -209,7 +209,7 @@ def _cmd_selftest(obj, args) -> tuple[dict, bool]:
     classical = (1 - lam**2) / (1 - 0.25)
     results["classical_pick"] = bool(cert.is_psd and abs(cert.min_eig - classical) < 1e-10)
 
-    rep = solve_pick(p, samples=10, seed=0)
+    rep = solve_pick(p)
     results["solve_roundtrip"] = bool(rep.feasible and rep.interp_residual < 1e-8)
 
     bad = PickProblem(z, MatrixTuple((np.array([[0.0]]),)), np.eye(1), 1.5 * np.eye(1))
@@ -230,7 +230,7 @@ _COMMANDS = {
     "zariski": (_cmd_zariski, ()),
     "cp-check": (_cmd_cp_check, ("tol",)),
     "pick-check": (_cmd_pick_check, ("tol",)),
-    "pick-solve": (_cmd_pick_solve, ("tol", "samples", "seed")),
+    "pick-solve": (_cmd_pick_solve, ("tol",)),
     "ltoa-check": (_cmd_ltoa_check, ("tol",)),
     "stein-check": (_cmd_stein_check, ("tol",)),
     "realize-eval": (_cmd_realize_eval, ()),
@@ -239,7 +239,7 @@ _COMMANDS = {
 }
 
 # Each option's type and default; ``truncation_L`` is the flag ``--truncation-L``.
-_OPTIONS = {"tol": (float, 1e-9), "seed": (int, 0), "truncation_L": (int, 8), "samples": (int, 100)}
+_OPTIONS = {"tol": (float, 1e-9), "truncation_L": (int, 8)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name in ("samples", "truncation_L"):
-            if getattr(args, name, 0) < 0:
-                raise ValueError(f"--{name} must be nonnegative")
+        if getattr(args, "truncation_L", 0) < 0:
+            raise ValueError("--truncation-L must be nonnegative")
         if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
             raise ValueError("--tol must be positive and finite")
         handler, options = _COMMANDS[args.command]

@@ -72,6 +72,12 @@ __all__ = [
 ]
 
 
+#: ``solve_pick``'s contractivity check: points, split evenly over levels, and seed
+CONTRACTIVITY_SAMPLES = 100
+CONTRACTIVITY_LEVELS = (1, 2)
+CONTRACTIVITY_SEED = 0
+
+
 @dataclass(frozen=True)
 class LtoaProblem:
     """Left-tangential operator-argument data over the noncommutative ball.
@@ -167,29 +173,27 @@ class SolveReport:
         return max(self.contractivity_samples, default=0.0)
 
 
-def solve_pick(p: PickProblem, tol: float = 1e-9,
-               samples: int = 100, sample_levels: Sequence[int] = (1, 2),
-               seed: int = 0) -> SolveReport:
+def solve_pick(p: PickProblem, tol: float = 1e-9) -> SolveReport:
     """Certify, synthesize, and verify a single-point tangential problem.
 
     One Choi matrix and one ``eigh`` of it give the certificate, with its
     dead band at ``tol`` (as ``pick_certificate(p, tol)``), and, on a PSD
     verdict, the Kolmogorov factor for the lurking-isometry synthesis, which
     reports the interpolation residual ||A0 S(Z0) - B0||, and contractivity
-    is spot-checked on seeded in-domain samples: the
-    ``samples // len(sample_levels)`` points of each level are drawn,
-    scaled and evaluated as one stack, with Q0 evaluated once per point;
-    a constant Q0 has the one value Q0(0) (x) I there, so nothing is drawn.
+    is spot-checked on ``CONTRACTIVITY_SAMPLES`` seeded in-domain points,
+    split evenly over ``CONTRACTIVITY_LEVELS``; each level's are drawn,
+    scaled and evaluated as one stack, with Q0 evaluated once per point; a
+    constant Q0 has the one value Q0(0) (x) I there, so nothing is drawn.
     Infeasible problems return the certificate with ``feasible=False``.
     """
     cert, factor = _certified_factor(_dbr_choi(p), tol)
     if factor is None:
         return SolveReport(False, cert)
     col, diag = _synthesize(p, factor, cert, tol, "zero")
-    rng = np.random.default_rng(seed)
-    per_level = samples // max(1, len(sample_levels))
+    rng = np.random.default_rng(CONTRACTIVITY_SEED)
+    per_level = CONTRACTIVITY_SAMPLES // len(CONTRACTIVITY_LEVELS)
     norms: list[float] = []
-    for lev in sample_levels if per_level else ():  # fewer samples than levels: none
+    for lev in CONTRACTIVITY_LEVELS:
         if p.Q0.degree == 0:
             # every point has the value Q0(0) (x) I, inside the disk as Q0(Z0) is
             QZ = _eval_poly_stack(p.Q0, np.zeros((per_level, p.Q0.d, lev, lev)))
@@ -273,12 +277,10 @@ def stein_dominance_certificate(Q0: NcMatrixPolynomial, Z0: MatrixTuple, Lambda0
     by one PSD test on its Choi matrix at the node's own level n, which is
     equivalent to the value dominating the node in the Stein sense.  That
     map is the de Branges-Rovnyak map of ``PickProblem(Q0, Z0, I, Lambda0)``,
-    which validates the data.  ``min_eig`` is the node-level margin on the
-    Choi matrix's support, as in ``pick_certificate``.
+    which validates the data, so the certificate is ``pick_certificate``'s.
     """
     L0 = np.asarray(Lambda0, dtype=complex)
-    p = PickProblem(Q0, Z0, np.eye(L0.shape[0], dtype=complex), L0)
-    return psd_check(_on_support(_dbr_choi(p).matrix)[0], rel_tol=rel_tol)
+    return pick_certificate(PickProblem(Q0, Z0, np.eye(L0.shape[0]), L0), rel_tol)[0]
 
 
 def _slab_shift(Q: NcMatrixPolynomial, Z0: MatrixTuple, k: int,

@@ -295,15 +295,14 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
     it is the map P -> k_{Q0}(Z, Z)(P) at the direct-sum point Z of level
     N.  For points a, b the map sends the (a, b) input block into the
     (a, b) output block by the Stein solve from Q0(Za) and Q0(Zb) (each
-    evaluated once) and is zero elsewhere, so every Choi row (i, r) with r
-    outside the block of i is exactly zero.  The PSD test runs on the Choi
-    matrix restricted to its support, of side sum_a n_a^2 and built one
-    pair block at a time: its spectrum is the full spectrum less the
-    structural zeros, so ``min_eig`` is the margin of the data, not of the
-    padding.  The (b, a) blocks are solved, not copied, so the Hermiticity
-    test compares independent solves; the tested matrix is their Hermitian
-    part, which is exactly Hermitian.  The returned Choi matrix (n = N,
-    block_dim = N) is the full one, that same matrix scattered into zeros.
+    evaluated once) and is zero elsewhere; each pair's Choi block is written
+    into the full Choi matrix, viewed as (i, r, j, c).  As in every
+    certificate, the PSD test runs on its support (``_on_support``), without
+    the zero rows off the point blocks or inside them (a diagonal point's),
+    so ``min_eig`` is the margin of the data, not of the padding.  The (b, a)
+    blocks are solved, not copied, so the Hermiticity test compares
+    independent solves; the tested matrix is their exactly Hermitian part,
+    which the returned full Choi matrix (n = N, block_dim = N) holds there.
     """
     if not Omega_F:
         raise ValueError("need at least one point")
@@ -313,24 +312,19 @@ def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
     _check_row_poly(Q0)
     values = [_eval_in_domain(Q0, Z) for Z in Omega_F]
     levels = [Z.n for Z in Omega_F]
-    N = sum(levels)
-    sq = np.concatenate(([0], np.cumsum([n * n for n in levels]))).astype(int)
-    support_choi = np.empty((sq[-1], sq[-1]), dtype=complex)
-    for a, (QZa, na) in enumerate(zip(values, levels)):
-        for b, (QZb, nb) in enumerate(zip(values, levels)):
-            K = _szego_solve(QZa, QZb, np.eye(na * nb))
-            support_choi[sq[a] : sq[a + 1], sq[b] : sq[b + 1]] = _choi_reshuffle(
-                K, (na, nb), (na, nb))
-    support_choi = _hermitian_part(support_choi)
-    cert = psd_check(support_choi, rel_tol)
-    # support: Choi indices i * N + r with i and r in the same point's block,
-    # in Choi order, which is also the pair-block order above
     offs = np.concatenate(([0], np.cumsum(levels))).astype(int)
-    support = np.concatenate([(np.arange(o, o + n)[:, None] * N + np.arange(o, o + n)).ravel()
-                              for o, n in zip(offs, levels)])
+    N = int(offs[-1])
     full = np.zeros((N * N, N * N), dtype=complex)
-    full[np.ix_(support, support)] = support_choi
-    return cert, ChoiMatrix(N, N, full)
+    blocks = full.reshape(N, N, N, N)
+    for QZa, na, oa in zip(values, levels, offs):
+        for QZb, nb, ob in zip(values, levels, offs):
+            K = _szego_solve(QZa, QZb, np.eye(na * nb))
+            blocks[oa : oa + na, oa : oa + na, ob : ob + nb, ob : ob + nb] = (
+                _choi_reshuffle(K, (na, nb), (na, nb)).reshape(na, na, nb, nb))
+    support, live = _on_support(full)
+    support = _hermitian_part(support)
+    full[np.ix_(live, live)] = support
+    return psd_check(support, rel_tol), ChoiMatrix(N, N, full)
 
 
 def _sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 Complex scalars are ``[re, im]`` pairs, matrices are row-major nested
 arrays of those pairs.  Every decoder validates shapes and raises
 ``ValueError`` on malformed payloads, non-finite matrix entries included
-(``TypeError`` on a matrix entry that is not a number, a JSON string
+(``TypeError`` on a matrix entry that is not a number, a string or a bool
 included), so the CLI can map them to its error exit code.
 
 ``matrix_json`` writes a matrix straight to its compact JSON text, the
@@ -120,14 +120,17 @@ def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ValueError("matrix must be a nonempty list of rows")
     width = len(obj[0])
-    out = np.empty((len(obj), width), dtype=complex)
-    for i, row in enumerate(obj):
+    entries = []
+    for row in obj:
         if len(row) != width:
             raise ValueError("ragged matrix rows")
-        for j, z in enumerate(row):
+        for z in row:
             if not (isinstance(z, list) and len(z) == 2):
                 raise ValueError("complex scalars are [re, im] pairs")
-            out[i, j] = complex(z[0], z[1])
+            if isinstance(z[0], bool) or isinstance(z[1], bool):
+                raise TypeError(f"matrix entries must be numbers, got {z!r}")
+            entries.append(complex(z[0], z[1]))
+    out = np.array(entries, dtype=complex).reshape(len(obj), width)
     if not np.isfinite(out).all():
         # Python's json reads NaN and Infinity, which no JSON answer may echo
         raise ValueError("matrix entries must be finite")

@@ -200,6 +200,22 @@ def kron_sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def stein_dominance_choi(Q0, Z0: MatrixTuple, Lambda0) -> np.ndarray:
+    """Choi matrix [M(E_ij)] of M(P) = k(P) (x) I_Y - L (k(P) (x) I_U) L^*, L = ``Lambda0``.
+
+    The kernel is ``szego_kernel_series`` at each matrix unit E_ij and the
+    two sandwiches are ``kron_sandwich_matrix``; no solve and no reshape of
+    the library's.
+    """
+    n = Z0.n
+    L0 = np.asarray(Lambda0, dtype=complex)
+    e = L0.shape[0]
+    K = np.stack([szego_kernel_series(Q0, Z0, Z0, E.reshape(n, n), tol=1e-15)[0].ravel()
+                  for E in np.eye(n * n)], axis=1)
+    M = (kron_sandwich_matrix(np.eye(e), n) - kron_sandwich_matrix(L0, n)) @ K
+    return np.block([[M[:, i * n + j].reshape(e, e) for j in range(n)] for i in range(n)])
+
+
 def einsum_state_maps(col, QZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Q0(Z) (x) I_X) A^(n)`` and ``(Q0(Z) (x) I_X) B^(n)`` by one ``einsum`` per block."""
     K, n = QZ.shape[0], QZ.shape[1]

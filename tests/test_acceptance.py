@@ -20,8 +20,7 @@ from ncpick.core import (
     operator_norm,
     similarity,
 )
-from ncpick.envelopes import full_envelope_membership, jordan_spectral_data, \
-    zariski_membership_d1
+from ncpick.envelopes import jordan_spectral_data, zariski_membership_d1
 from ncpick.interpolation import (
     LtoaProblem,
     PickProblem,
@@ -42,8 +41,8 @@ from ncpick.realization import (
 )
 from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
-from conftest import block_diag, jordan_cell, mt, phi_map, scalar_point, szego_kernel_series, \
-    szego_tail_bound
+from conftest import block_diag, full_envelope_search, jordan_cell, mt, phi_map, scalar_point, \
+    stein_dominance_choi, szego_kernel_series, szego_tail_bound
 
 
 class Budget:
@@ -186,6 +185,8 @@ def test_06_ltoa_closed_form():
 
 
 def test_07_stein_vs_pick():
+    """stein-check is pick-check of (I, Lambda0); oracle: ``conftest.stein_dominance_choi``,
+    that map's Choi matrix from the series kernel and a Kronecker sandwich."""
     budget = Budget("7 Stein vs Pick cross-check", 60.0)
     rng = np.random.default_rng(707)
     agreements = 0
@@ -202,9 +203,10 @@ def test_07_stein_vs_pick():
             Lam0 = S0 * float(rng.uniform(0.2, 1.0))
         else:
             Lam0 = S0 + 0.5 * complex_gaussian(rng, S0.shape)
-        pick = pick_certificate(PickProblem(Q0, Z0, np.eye(n), Lam0))[0]
         stein = stein_dominance_certificate(Q0, Z0, Lam0)
-        assert pick.verdict == stein.verdict
+        want = np.linalg.eigvalsh(stein_dominance_choi(Q0, Z0, Lam0))
+        assert stein.verdict == ("psd" if want[0] >= -1e-9 * max(1.0, want[-1]) else "not_psd")
+        assert abs(stein.min_eig - want[0]) <= 1e-10 * max(1.0, abs(want[-1]))
         agreements += 1
     budget.finish(f"{agreements} agreements")
 
@@ -257,6 +259,8 @@ def _member_of_closure(rng, pool_pairs, max_dim=4):
 
 
 def test_09_zariski_full_envelope_agreement():
+    """For one variable the Zariski closure is the full envelope; oracle:
+    ``conftest.full_envelope_search``, the random intertwiner search."""
     budget = Budget("9 Zariski vs full envelope", 60.0)
     rng = np.random.default_rng(909)
     pool = [-0.75, -0.25, 0.3, 0.8]
@@ -275,7 +279,7 @@ def test_09_zariski_full_envelope_agreement():
         else:
             Zt = _random_jordan_matrix(rng, pool)
         member, p0 = zariski_membership_d1(Zt, gens, cluster_tol=cluster_tol)
-        w = full_envelope_membership(mt(Zt), [mt(g) for g in gens])
+        w = full_envelope_search(mt(Zt), [mt(g) for g in gens], seed=trial)
         assert member == (w is not None), f"trial {trial} disagreement"
         if p0 is not None:
             coeff_scale = max(

@@ -44,11 +44,12 @@ def test_traced_names_exist():
 # Every parameter with a default of a public callable (in ``ncpick.__all__`` or a
 # module's ``__all__``), keyed by defining module and name.  A setting no caller
 # sets belongs in a module constant; adding or removing one means editing this
-# table.  33 parameters (53 before the envelope, sampling, extraction, core,
+# table.  30 parameters (53 before the envelope, sampling, extraction, core,
 # realization and refuter tolerances became constants, 38 before the full
 # envelope became an exact test, 36 before the similarity envelope lost its
 # multiplicity bound and seed, 34 before every synthesis set its
-# interpolation residual).
+# interpolation residual, 33 before the Pick solve's sample count, levels
+# and seed became constants).
 DEFAULTED_PARAMETERS = {
     "core.NcMatrixPolynomial": ("terms",),
     "envelopes.JordanData": ("ambiguous",),
@@ -58,7 +59,7 @@ DEFAULTED_PARAMETERS = {
                                   "diagnostics"),
     "interpolation.ltoa_certificate": ("rel_tol",),
     "interpolation.pick_certificate": ("rel_tol",),
-    "interpolation.solve_pick": ("tol", "samples", "sample_levels", "seed"),
+    "interpolation.solve_pick": ("tol",),
     "interpolation.stein_dominance_certificate": ("rel_tol",),
     "interpolation.strict_stein_refuter": ("trials", "seed"),
     "kernels.PsdCertificate": ("marginal",),
@@ -97,7 +98,7 @@ def defaulted_parameters() -> dict[str, tuple[str, ...]]:
 def test_defaulted_parameters_match_the_budget():
     found = defaulted_parameters()
     assert found == DEFAULTED_PARAMETERS
-    assert sum(map(len, found.values())) == 33
+    assert sum(map(len, found.values())) == 30
 
 
 def unused_imports(source: str) -> list[str]:
@@ -204,4 +205,4 @@ def test_commands_read_exactly_their_options():
     cli = importlib.import_module("ncpick.cli")
     declared = {handler.__name__: set(options) for handler, options in cli._COMMANDS.values()}
     assert option_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == declared
-    assert sum(map(len, declared.values())) == 8
+    assert sum(map(len, declared.values())) == 6

@@ -95,8 +95,7 @@ class TestPick:
             "A0": encode_matrix(np.eye(1)),
             "B0": encode_matrix(0.9 * np.eye(1)),
         }
-        code, doc, _ = run_cli(["pick-solve", "--samples", "10"], payload, capsys,
-                               monkeypatch)
+        code, doc, _ = run_cli(["pick-solve"], payload, capsys, monkeypatch)
         assert code == 0 and doc["feasible"]
         # library-level replay
         col = decode_colligation(doc["colligation"])
@@ -115,25 +114,22 @@ class TestPick:
         assert abs(abs(val - 0.9) - doc["interp_residual"]) <= 1e-12
 
     def test_determinism(self, capsys, monkeypatch):
+        # identical input gives identical stdout: the samples come from a fixed seed
         payload = {
             "Q0": Z_POLY,
             "Z0": encode_tuple(scalar_point(0.5)),
             "A0": encode_matrix(np.eye(1)),
             "B0": encode_matrix(0.9 * np.eye(1)),
         }
-        _, _, out1 = run_cli(["pick-solve", "--seed", "3", "--samples", "5"],
-                             payload, capsys, monkeypatch)
-        _, _, out2 = run_cli(["pick-solve", "--seed", "3", "--samples", "5"],
-                             payload, capsys, monkeypatch)
+        _, _, out1 = run_cli(["pick-solve"], payload, capsys, monkeypatch)
+        _, _, out2 = run_cli(["pick-solve"], payload, capsys, monkeypatch)
         assert out1 == out2
 
-    @pytest.mark.parametrize("samples, count", [(0, 0), (1, 0), (3, 2), (4, 4)])
-    def test_solve_draws_samples_per_level(self, capsys, monkeypatch, samples, count):
-        # samples // 2 points at each of the levels 1 and 2, none when that is 0
-        code, doc, _ = run_cli(["pick-solve", "--samples", str(samples)], self._payload(0.5),
-                               capsys, monkeypatch)
-        assert code == 0 and doc["params"]["samples"] == samples
-        assert len(doc["contractivity_samples"]) == count
+    def test_solve_draws_samples_per_level(self, capsys, monkeypatch):
+        # the module constant sets the count: pick-solve takes no --samples
+        code, doc, _ = run_cli(["pick-solve"], self._payload(0.5), capsys, monkeypatch)
+        assert code == 0 and doc["params"] == {"tol": 1e-9}
+        assert len(doc["contractivity_samples"]) == interpolation.CONTRACTIVITY_SAMPLES
 
     @pytest.mark.parametrize("Q0", [NcMatrixPolynomial(2, 1, 0, {}),
                                     NcMatrixPolynomial(2, 1, 1, {Word((), 2): 0.5 * np.eye(1)})],
@@ -148,10 +144,10 @@ class TestPick:
         }
         code, doc, _ = run_cli(["pick-check"], payload, capsys, monkeypatch)
         assert code == 0 and doc["certificate"]["verdict"] == "psd"
-        code, doc, _ = run_cli(["pick-solve", "--samples", "6"], payload, capsys, monkeypatch)
+        code, doc, _ = run_cli(["pick-solve"], payload, capsys, monkeypatch)
         assert code == 0 and doc["feasible"] is True
         norms = doc["contractivity_samples"]
-        assert len(norms) == 6 and len(set(norms)) == 1
+        assert len(norms) == interpolation.CONTRACTIVITY_SAMPLES and len(set(norms)) == 1
         assert norms[0] == pytest.approx(0.5, abs=1e-12)
 
     def _dead_band_payload(self):
@@ -164,7 +160,7 @@ class TestPick:
         }
 
     def test_solve_inside_dead_band_synthesizes(self, capsys, monkeypatch):
-        code, doc, _ = run_cli(["pick-solve", "--tol", "1e-3", "--samples", "10"],
+        code, doc, _ = run_cli(["pick-solve", "--tol", "1e-3"],
                                self._dead_band_payload(), capsys, monkeypatch)
         assert code == 0 and doc["feasible"] and doc["verdict"] == "psd"
         assert doc["min_eig"] == pytest.approx(-2.2e-4, rel=1e-2)
@@ -173,7 +169,7 @@ class TestPick:
         assert max(doc["contractivity_samples"]) <= 1 + 1e-9
 
     def test_solve_outside_dead_band_is_negative(self, capsys, monkeypatch):
-        code, doc, _ = run_cli(["pick-solve", "--tol", "1e-9", "--samples", "10"],
+        code, doc, _ = run_cli(["pick-solve", "--tol", "1e-9"],
                                self._dead_band_payload(), capsys, monkeypatch)
         assert code == 1 and not doc["feasible"] and doc["verdict"] == "not_psd"
 
@@ -520,18 +516,15 @@ class TestErrors:
 
     def test_params_echoed(self, capsys, monkeypatch):
         payload = VALID_DOCUMENTS["pick-solve"]
-        _, doc, _ = run_cli(["pick-solve", "--tol", "1e-8", "--seed", "7"],
-                            payload, capsys, monkeypatch)
-        assert doc["params"]["tol"] == 1e-8
-        assert doc["params"]["seed"] == 7
+        _, doc, _ = run_cli(["pick-solve", "--tol", "1e-8"], payload, capsys, monkeypatch)
+        assert doc["params"] == {"tol": 1e-8}
 
     def test_flags_do_not_leak_between_calls(self, capsys, monkeypatch):
         payload = VALID_DOCUMENTS["pick-solve"]
-        _, first, _ = run_cli(["pick-solve", "--samples", "5", "--tol", "1e-8", "--seed", "3"],
-                              payload, capsys, monkeypatch)
-        assert first["params"] == {"samples": 5, "seed": 3, "tol": 1e-8}
+        _, first, _ = run_cli(["pick-solve", "--tol", "1e-8"], payload, capsys, monkeypatch)
+        assert first["params"] == {"tol": 1e-8}
         _, second, _ = run_cli(["pick-solve"], payload, capsys, monkeypatch)
-        assert second["params"] == {"samples": 100, "seed": 0, "tol": 1e-9}
+        assert second["params"] == {"tol": 1e-9}
 
     @pytest.mark.parametrize("argv, message", [
         # the value after an unread flag is taken for the input file name
@@ -539,11 +532,15 @@ class TestErrors:
         (["eval", "--tol", "1e-3"], "unrecognized arguments: --tol"),
         (["domain-check", "--tol", "-1"], "unrecognized arguments: --tol"),
         (["envelope", "--max-multiplicity", "2"], "unrecognized arguments: --max-multiplicity"),
-        (["pick-solve", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+        (["okaweil", "--truncation-L", "x"], "argument --truncation-L: invalid int value: 'x'"),
         (["pick-solve", "--bogus"], "unrecognized arguments: --bogus"),
+        (["pick-solve", "--samples", "10"], "unrecognized arguments: --samples"),
+        (["pick-solve", "--seed", "3"], "unrecognized arguments: --seed"),
+        (["okaweil", "--truncation-L", "-1"], "--truncation-L must be nonnegative"),
         ([], "the following arguments are required: command"),
     ], ids=["unread-samples", "unread-tol", "unread-negative-tol", "envelope-takes-no-flags",
-            "bad-type", "unknown-flag", "no-command"])
+            "bad-type", "unknown-flag", "pick-solve-takes-no-samples",
+            "pick-solve-takes-no-seed", "negative-truncation-L", "no-command"])
     def test_argument_errors_answer_with_the_error_document(self, capsys, monkeypatch, argv,
                                                             message):
         # checked before the input is read: stdin holds no document
@@ -682,6 +679,9 @@ def test_mutated_input_answers_with_one_document(command, data):
     answered = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
     assert (code == 2) == (set(answered) == {"v", "error"})
     assert "Traceback" not in err
+    # every number in a valid document is a matrix entry or an integer field,
+    # and neither takes a boolean
+    assert kind != "bool" or code == 2
 
 
 NO_SCIPY_SCRIPT = """
@@ -694,7 +694,7 @@ for mod in pkgutil.iter_modules(ncpick.__path__):
 from ncpick.cli import main
 from ncpick.core import MatrixTuple, NcMatrixPolynomial
 from ncpick.realization import lurking_isometry_synthesize
-code = main(["pick-solve", "--samples", "10"])
+code = main(["pick-solve"])
 Z0 = MatrixTuple((np.array([[0.5, 0.2], [0.0, -0.3]], dtype=complex),))
 col, _ = lurking_isometry_synthesize(NcMatrixPolynomial.scalar_univariate([0, 1]), Z0,
                                      np.eye(2), 0.9 * np.eye(2), completion="unitary")

@@ -47,6 +47,7 @@ from conftest import (
     ltoa_word_sum,
     mt,
     scalar_point,
+    stein_dominance_choi,
 )
 
 
@@ -276,7 +277,7 @@ class TestMultiPoint:
         p2 = PickProblem(Q, Z2, a2, a2 @ transfer_eval(f, Z2))
         fused = multi_point_to_single([p1, p2])
         assert fused.n == 3 and fused.dimE == 3
-        rep = solve_pick(fused, samples=10, seed=0)
+        rep = solve_pick(fused)
         assert rep.feasible and rep.interp_residual <= 1e-8
 
     def test_two_point_matches_classical_pick(self, rng):
@@ -360,11 +361,11 @@ class TestSolvePick:
         col = random_contractive_colligation(2, 1, 1, 2, seed=7)
         p = PickProblem(Q, Z0, np.eye(2), 0.9 * transfer_eval(RealizedFunction(col, Q), Z0))
         krons = count_calls(monkeypatch, np, "kron")
-        assert solve_pick(p, samples=8).feasible
+        assert solve_pick(p).feasible
         assert krons == []
 
     def test_feasible_scalar_end_to_end(self):
-        rep = solve_pick(scalar_problem(0.5, 0.9), samples=20)
+        rep = solve_pick(scalar_problem(0.5, 0.9))
         assert rep.feasible
         assert rep.interp_residual <= 1e-8
         assert rep.max_sampled_norm <= 1 + 1e-9
@@ -379,7 +380,7 @@ class TestSolvePick:
         Q = NcMatrixPolynomial.row_pencil(2)
         Z0 = sample_in_domain(Q, 2, rng, 0.5)
         p = PickProblem(Q, Z0, np.eye(2), np.zeros((2, 2)))
-        rep = solve_pick(p, samples=10)
+        rep = solve_pick(p)
         assert rep.feasible and rep.interp_residual <= 1e-9
 
     def test_zero_data_is_a_marginal_boundary(self, rng):
@@ -388,7 +389,7 @@ class TestSolvePick:
         Q = NcMatrixPolynomial.row_pencil(2)
         p = PickProblem(Q, sample_in_domain(Q, 2, rng, 0.5), np.zeros((2, 2)), np.zeros((2, 2)))
         cert, _ = pick_certificate(p)
-        rep = solve_pick(p, samples=0)
+        rep = solve_pick(p)
         assert cert == rep.certificate
         assert (cert.verdict, cert.min_eig, cert.max_eig, cert.marginal) == ("psd", 0.0, 0.0, True)
         assert rep.colligation.dimX == 0
@@ -407,7 +408,7 @@ class TestSolvePick:
         eighs = count_calls(monkeypatch, np.linalg, "eigh")
         eigvals = count_calls(monkeypatch, np.linalg, "eigvalsh")
         if route == "solve_pick":
-            assert solve_pick(p, samples=4).feasible == feasible
+            assert solve_pick(p).feasible == feasible
         elif feasible:
             lurking_isometry_synthesize(Q, Z0, p.A0, p.B0)
         else:
@@ -437,7 +438,7 @@ class TestSolvePick:
             B0 = 2.0 * np.linalg.norm(A0) / np.linalg.norm(G) * G
         p = PickProblem(Q, Z0, A0, B0)
         for tol in (1e-12, 1e-9, 1e-6):
-            got = solve_pick(p, tol=tol, samples=2).certificate
+            got = solve_pick(p, tol=tol).certificate
             want, _ = pick_certificate(p, tol)
             assert got.rel_tol == want.rel_tol == tol
             assert got.is_psd == feasible
@@ -456,7 +457,7 @@ class TestSolvePick:
         p = PickProblem(Q, Z0, a0, a0)
         assert not pick_certificate(p)[1].matrix.any()
         col, diag = lurking_isometry_synthesize(Q, Z0, a0, a0)
-        rep = solve_pick(p, samples=4)
+        rep = solve_pick(p)
         assert rep.feasible
         for c, resid in ((col, diag.interp_residual), (rep.colligation, rep.interp_residual)):
             assert c.dimX == 0
@@ -498,12 +499,12 @@ def contractivity_q0(kind, d, rng):
 
 
 def per_sample_contractivity(col, Q0, samples, sample_levels, seed):
-    """The verification loop as solve_pick ran it point by point: one
+    """The verification loop as solve_pick runs it, point by point: one
     ``sample_in_domain`` and one amplified transfer-function value per sample."""
     rng = np.random.default_rng(seed)
     points, norms = [], []
     for lev in sample_levels:
-        for _ in range(samples // max(1, len(sample_levels))):
+        for _ in range(samples // len(sample_levels)):
             Z = sample_in_domain(Q0, lev, rng, target=0.9)
             points.append(np.stack(Z.components))
             norms.append(operator_norm(amplified_transfer(col, kron_eval_poly(Q0, Z))))
@@ -513,11 +514,11 @@ def per_sample_contractivity(col, Q0, samples, sample_levels, seed):
 class TestContractivitySamples:
     @given(kind=st.sampled_from(["row_pencil", "quadratic", "quadratic_constant"]),
            d=st.integers(1, 3), dimX=st.sampled_from([0, 1, 6]),
-           y=st.integers(1, 2), u=st.integers(1, 2),
-           levels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-           samples=st.integers(1, 12), seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_matches_per_sample_loop(self, kind, d, dimX, y, u, levels, samples, seed):
+           y=st.integers(1, 2), u=st.integers(1, 2), seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_matches_per_sample_loop(self, kind, d, dimX, y, u, seed):
+        # oracle: per_sample_contractivity at solve_pick's sample count,
+        # levels and seed, through amplified_transfer and kron_eval_poly
         rng = np.random.default_rng(seed)
         Q0 = contractivity_q0(kind, d, rng)
         Z0 = sample_in_domain(Q0, 1, rng, 0.5)
@@ -538,21 +539,20 @@ class TestContractivitySamples:
 
         with mock.patch.object(interpolation, "_synthesize", substitute), \
                 mock.patch.object(interpolation, "_sample_stack", recording):
-            rep = solve_pick(p, samples=samples, sample_levels=levels, seed=seed)
-        points, want, oracle_rng = per_sample_contractivity(col, Q0, samples, levels, seed)
+            rep = solve_pick(p)
+        points, want, oracle_rng = per_sample_contractivity(
+            col, Q0, interpolation.CONTRACTIVITY_SAMPLES, interpolation.CONTRACTIVITY_LEVELS,
+            interpolation.CONTRACTIVITY_SEED)
         assert rep.feasible and rep.colligation is col
-        assert len(rep.contractivity_samples) == len(want)
+        assert len(rep.contractivity_samples) == len(want) == interpolation.CONTRACTIVITY_SAMPLES
         np.testing.assert_allclose(rep.contractivity_samples, want, rtol=1e-12, atol=0)
-        assert (max(want, default=0.0) <= 1 + 1e-9) == (rep.max_sampled_norm <= 1 + 1e-9)
+        assert (max(want) <= 1 + 1e-9) == (rep.max_sampled_norm <= 1 + 1e-9)
         # identical draws: the same points, and the generator read to the same state
         got = [Z for Zs, _ in drawn for Z in Zs]
         assert len(got) == len(points)
         for a, b in zip(got, points):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-        if drawn:
-            assert drawn[-1][1].bit_generator.state == oracle_rng.bit_generator.state
-        else:  # fewer samples than levels draw nothing
-            assert samples < len(levels) and not want
+        assert drawn[-1][1].bit_generator.state == oracle_rng.bit_generator.state
 
     def test_node_work_does_not_grow_with_samples(self, monkeypatch):
         # Q0 and its norm are computed at the node and in synthesis only; the
@@ -561,9 +561,10 @@ class TestContractivitySamples:
         p = PickProblem(Q, Z0, np.eye(2), S0)
         counts = []
         for samples in (4, 40, 400):
+            monkeypatch.setattr(interpolation, "CONTRACTIVITY_SAMPLES", samples)
             evals = count_calls(monkeypatch, core, "_eval_poly")
             norms = count_calls(monkeypatch, core, "operator_norm")
-            rep = solve_pick(p, samples=samples)
+            rep = solve_pick(p)
             monkeypatch.undo()
             assert rep.feasible and len(rep.contractivity_samples) == samples
             counts.append((len(evals), len(norms)))
@@ -794,6 +795,9 @@ class TestSteinDominance:
             assert stein_dominance_certificate(Q, Z0, Lam0).is_psd
 
     def test_agreement_with_pick(self, rng):
+        """The certificate is the Pick certificate of (I, Lambda0), checked against
+        an independent oracle: ``conftest.stein_dominance_choi``, the Choi matrix
+        built from ``szego_kernel_series`` and a dense Kronecker sandwich."""
         Q1 = NcMatrixPolynomial.scalar_univariate([0, 1])
         Q2 = NcMatrixPolynomial.row_pencil(2)
         for trial in range(20):
@@ -804,9 +808,11 @@ class TestSteinDominance:
             S0 = transfer_eval(RealizedFunction(col, Q), Z0)
             t = 0.8 if trial % 3 else 1.0 / max(operator_norm(S0), 1e-2) * 1.3
             Lam0 = t * S0
-            pick = pick_certificate(PickProblem(Q, Z0, np.eye(n), Lam0))[0]
             stein = stein_dominance_certificate(Q, Z0, Lam0)
-            assert pick.verdict == stein.verdict
+            want = np.linalg.eigvalsh(stein_dominance_choi(Q, Z0, Lam0))
+            assert stein.verdict == ("psd" if want[0] >= -1e-9 * max(1.0, want[-1])
+                                     else "not_psd")
+            assert abs(stein.min_eig - want[0]) <= 1e-10 * max(1.0, abs(want[-1]))
 
     @given(**REPEATED_NODE_CASES)
     @settings(max_examples=30, deadline=None, derandomize=True)

@@ -465,6 +465,32 @@ class TestCpCheckFinite:
         assert cert.is_psd and not cert.marginal
         assert (choi.n, choi.block_dim) == (3, 3)
 
+    @pytest.mark.parametrize("tol", [1e-18, 1e-9, 1e-3])
+    def test_diagonal_point_reads_the_classical_pick_margin(self, tol):
+        # the Choi rows (i, r), i != r, of the diagonal point diag(0.3, 0.5) are
+        # exactly zero; oracle: the classical Pick matrix of the nodes 0.3, 0.5, 0.2
+        z = np.array([0.3, 0.5, 0.2])
+        pts = [mt(np.diag(z[:2])), mt(z[2:, None])]
+        cert, _ = cp_check_finite(NcMatrixPolynomial.row_pencil(1), pts, tol)
+        lo, hi = np.linalg.eigvalsh(1.0 / (1.0 - np.outer(z, z.conj())))[[0, -1]]
+        assert cert.min_eig == pytest.approx(lo, rel=1e-12)  # 4.3036e-4
+        assert cert.is_psd
+        # inside the dead band only at 1e-3, where the band is 1e-3 * 3.40
+        assert cert.marginal == (lo < tol * hi)
+
+    @given(d=st.integers(1, 2), levels=st.tuples(*[st.integers(1, 3)] * 3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_direct_sum_point_reads_its_summands_margin(self, d, levels, seed):
+        # the kernel respects direct sums, so [A (+) B, W] and [A, B, W] have one
+        # Choi matrix and one support; the rows that pair A with B are exact zeros
+        rng = np.random.default_rng(seed)
+        Q = NcMatrixPolynomial.row_pencil(d)
+        A, B, W = (sample_in_domain(Q, n, rng, 0.6) for n in levels)
+        summed, _ = cp_check_finite(Q, [core.direct_sum_many([A, B]), W])
+        apart, _ = cp_check_finite(Q, [A, B, W])
+        assert abs(summed.min_eig - apart.min_eig) <= 1e-10 * max(1.0, apart.max_eig)
+
 
 class TestDbrKernel:
     def test_identity_a_zero_b(self, rng):

@@ -217,7 +217,7 @@ class TestAglerDecomposition:
             problems.append(PickProblem(Q, Z0, a0, a0 @ transfer_eval(source, Z0)))
         p = multi_point_to_single(problems)
         if via_solve:
-            col = solve_pick(p, samples=0).colligation
+            col = solve_pick(p).colligation
         else:
             col, _ = lurking_isometry_synthesize(Q, p.Z0, p.A0, p.B0)
         Z = direct_sum(p.Z0, sample_in_domain(Q, 1 + levels[0] % 2, rng, 0.8))

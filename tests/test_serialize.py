@@ -46,6 +46,12 @@ class TestMatrixCodec:
         with pytest.raises(ValueError):
             decode_matrix([[[1.0]]])
 
+    @pytest.mark.parametrize("entry", [[True, False], [0.5, True], [False, 0.0]])
+    def test_booleans_rejected(self, entry):
+        # Python reads a JSON boolean as the integer 0 or 1; it is not a number
+        with pytest.raises(TypeError, match="matrix entries must be numbers"):
+            decode_matrix([[entry]])
+
     @pytest.mark.parametrize("M", [
         np.array([[complex(-0.0, -0.0), 5e-324 + 1j], [np.nan + 0j, complex(np.inf, -np.inf)]]),
         np.array([0.5, -0.0, 2.0 + 3.0j]),
