@@ -125,10 +125,18 @@ class TestPick:
         _, _, out2 = run_cli(["pick-solve"], payload, capsys, monkeypatch)
         assert out1 == out2
 
-    def test_solve_draws_samples_per_level(self, capsys, monkeypatch):
-        # the module constant sets the count: pick-solve takes no --samples
+    @pytest.mark.parametrize("samples, count", [(0, 0), (1, 0), (3, 2), (4, 4)])
+    def test_solve_draws_samples_per_level(self, capsys, monkeypatch, samples, count):
+        # samples // 2 points at each of the levels 1 and 2, none when that is 0;
+        # the module constant sets the count, pick-solve takes no --samples
+        monkeypatch.setattr(interpolation, "CONTRACTIVITY_SAMPLES", samples)
         code, doc, _ = run_cli(["pick-solve"], self._payload(0.5), capsys, monkeypatch)
         assert code == 0 and doc["params"] == {"tol": 1e-9}
+        assert len(doc["contractivity_samples"]) == count
+
+    def test_solve_draws_the_module_sample_count(self, capsys, monkeypatch):
+        code, doc, _ = run_cli(["pick-solve"], self._payload(0.5), capsys, monkeypatch)
+        assert code == 0
         assert len(doc["contractivity_samples"]) == interpolation.CONTRACTIVITY_SAMPLES
 
     @pytest.mark.parametrize("Q0", [NcMatrixPolynomial(2, 1, 0, {}),
