@@ -120,17 +120,16 @@ def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ValueError("matrix must be a nonempty list of rows")
     width = len(obj[0])
-    entries = []
-    for row in obj:
+    out = np.empty((len(obj), width), dtype=complex)
+    for i, row in enumerate(obj):
         if len(row) != width:
             raise ValueError("ragged matrix rows")
-        for z in row:
+        for j, z in enumerate(row):
             if not (isinstance(z, list) and len(z) == 2):
                 raise ValueError("complex scalars are [re, im] pairs")
             if isinstance(z[0], bool) or isinstance(z[1], bool):
                 raise TypeError(f"matrix entries must be numbers, got {z!r}")
-            entries.append(complex(z[0], z[1]))
-    out = np.array(entries, dtype=complex).reshape(len(obj), width)
+            out[i, j] = complex(z[0], z[1])
     if not np.isfinite(out).all():
         # Python's json reads NaN and Infinity, which no JSON answer may echo
         raise ValueError("matrix entries must be finite")

@@ -515,7 +515,7 @@ class TestContractivitySamples:
     @given(kind=st.sampled_from(["row_pencil", "quadratic", "quadratic_constant"]),
            d=st.integers(1, 3), dimX=st.sampled_from([0, 1, 6]),
            y=st.integers(1, 2), u=st.integers(1, 2), seed=st.integers(0, 2**16))
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_matches_per_sample_loop(self, kind, d, dimX, y, u, seed):
         # oracle: per_sample_contractivity at solve_pick's sample count,
         # levels and seed, through amplified_transfer and kron_eval_poly
