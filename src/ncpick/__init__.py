@@ -38,7 +38,6 @@ from .interpolation import (
     SolveReport,
     ltoa_certificate,
     ltoa_eval,
-    multi_point_to_single,
     pick_certificate,
     solve_pick,
     stein_dominance_certificate,

@@ -1,14 +1,16 @@
 """Feasibility certificates and the certify / synthesize / verify pipeline.
 
-Single-point left-tangential data (Q0, Z0, A0, B0) asks for a contractive
-noncommutative function S on the disk of Q0 with A0 S(Z0) = B0.  The
-criterion is complete positivity of the de Branges-Rovnyak map
+Left-tangential data on a finite set of nodes, one ``PickProblem`` per
+node (Q0, Z_a, A_a, B_a), asks for a contractive noncommutative function S
+on the disk of Q0 with A_a S(Z_a) = B_a at every node.  The criterion is
+complete positivity of the de Branges-Rovnyak map
 
-    P  ->  A0 (k(Z0,Z0)(P) (x) I_Y) A0^* - B0 (k(Z0,Z0)(P) (x) I_U) B0^*,
+    P  ->  A (k(Z,Z)(P) (x) I_Y) A^* - B (k(Z,Z)(P) (x) I_U) B^*
 
-certified by one PSD test on its Choi matrix at the node's own level n
-(Choi's theorem).  Infeasible problems return certificates, never
-exceptions; the CLI turns them into exit codes.
+at the direct sum Z of the nodes, certified by one PSD test on its Choi
+matrix (Choi's theorem), built pair by pair on its support.  Infeasible
+problems return certificates, never exceptions; the CLI turns them into
+exit codes.
 
 All series over the free semigroup are computed exactly: kernel series as
 Stein-equation fixed points, LTOA sums from one value of S (for a realized
@@ -33,18 +35,17 @@ from .core import (
     _eval_poly_stack,
     _operator_norms,
     amp,
-    direct_sum_many,
     operator_norm,
     rep_diag,
 )
 from .kernels import (
     PSD_REL_TOL,
-    ChoiMatrix,
     PickProblem,
     PsdCertificate,
     _certified_factor,
-    _dbr_choi,
+    _dbr_support,
     _on_support,
+    _pick_nodes,
     _szego_solve,
     psd_check,
 )
@@ -61,7 +62,6 @@ __all__ = [
     "PickProblem",
     "LtoaProblem",
     "SolveReport",
-    "multi_point_to_single",
     "pick_certificate",
     "solve_pick",
     "ltoa_eval",
@@ -106,55 +106,19 @@ class LtoaProblem:
         object.__setattr__(self, "_row", row)
 
 
-def multi_point_to_single(problems: Sequence[PickProblem]) -> PickProblem:
-    """Fuse finitely many problems sharing Q0 into one single-point problem.
+def pick_certificate(problems: PickProblem | Sequence[PickProblem],
+                     rel_tol: float = PSD_REL_TOL) -> tuple[PsdCertificate, np.ndarray]:
+    """PSD certificate for solvability of the tangential problem on its nodes.
 
-    Nodes and tangential data are direct-summed; row spaces E_i of the
-    summands are embedded into their direct sum.  This adds exactly-zero
-    rows and columns to the Choi matrix, which the certificates drop, so
-    ``min_eig`` stays the margin of the summands' data.
+    ``problems`` is one node or a list of nodes over one Q0, each exactly
+    equal node taken once.  By Choi's theorem one PSD test of the de
+    Branges-Rovnyak Choi matrix decides complete positivity.  It runs on the
+    support (``kernels._dbr_support``, less ``kernels._on_support``'s zero
+    rows), so ``min_eig`` is the margin of the data, not of padding.
+    Returns that support matrix whole: for one node, its Choi matrix.
     """
-    if not problems:
-        raise ValueError("need at least one problem")
-    first = problems[0]
-    if any(p.Q0 != first.Q0 for p in problems):
-        raise DimensionMismatchError("problems must share the defining polynomial")
-    if any((p.dimY, p.dimU) != (first.dimY, first.dimU) for p in problems):
-        raise DimensionMismatchError("problems must share dimU and dimY")
-    if len(problems) == 1:
-        return first
-    y, u = first.dimY, first.dimU
-    es = [p.dimE for p in problems]
-    e_tot = sum(es)
-    levels = [p.n for p in problems]
-    N = sum(levels)
-    Z0 = direct_sum_many([p.Z0 for p in problems])
-    A0 = np.zeros((e_tot * N, y * N), dtype=complex)
-    B0 = np.zeros((e_tot * N, u * N), dtype=complex)
-    e_off = 0
-    n_off = 0
-    # on the views (e, N, y, N) and (e, N, u, N) each summand is one block
-    for p, e_i, n_i in zip(problems, es, levels):
-        rows, pts = slice(e_off, e_off + e_i), slice(n_off, n_off + n_i)
-        A0.reshape(e_tot, N, y, N)[rows, pts, :, pts] = p.A0.reshape(e_i, n_i, y, n_i)
-        B0.reshape(e_tot, N, u, N)[rows, pts, :, pts] = p.B0.reshape(e_i, n_i, u, n_i)
-        e_off += e_i
-        n_off += n_i
-    return PickProblem(first.Q0, Z0, A0, B0)
-
-
-def pick_certificate(p: PickProblem,
-                     rel_tol: float = PSD_REL_TOL) -> tuple[PsdCertificate, ChoiMatrix]:
-    """PSD certificate for solvability of the tangential problem.
-
-    Certifies the Choi matrix of the de Branges-Rovnyak map at the node
-    itself (level n); by Choi's theorem that one test decides complete
-    positivity.  It runs on the matrix's support (``kernels._on_support``),
-    so ``min_eig`` is the node-level margin of the data, not of the exact
-    zeros of a fused, diagonal or repeated node.  The Choi matrix is returned whole.
-    """
-    choi = _dbr_choi(p)
-    return psd_check(_on_support(choi.matrix)[0], rel_tol=rel_tol), choi
+    S = _dbr_support(_pick_nodes(problems))
+    return psd_check(_on_support(S)[0], rel_tol=rel_tol), S
 
 
 @dataclass(frozen=True)
@@ -173,34 +137,38 @@ class SolveReport:
         return max(self.contractivity_samples, default=0.0)
 
 
-def solve_pick(p: PickProblem, tol: float = 1e-9) -> SolveReport:
-    """Certify, synthesize, and verify a single-point tangential problem.
+def solve_pick(problems: PickProblem | Sequence[PickProblem], tol: float = 1e-9) -> SolveReport:
+    """Certify, synthesize, and verify a tangential problem on its nodes.
 
-    One Choi matrix and one ``eigh`` of it give the certificate, with its
-    dead band at ``tol`` (as ``pick_certificate(p, tol)``), and, on a PSD
-    verdict, the Kolmogorov factor for the lurking-isometry synthesis, which
-    reports the interpolation residual ||A0 S(Z0) - B0||, and contractivity
+    ``problems`` is one node or a list of nodes over one Q0, as in
+    ``pick_certificate``.  One Choi matrix and one ``eigh`` of it give the
+    certificate, with its dead band at ``tol`` (as
+    ``pick_certificate(problems, tol)``), and, on a PSD verdict, the
+    Kolmogorov factor for the lurking-isometry synthesis, which reports the
+    interpolation residual max_a ||A_a S(Z_a) - B_a||, and contractivity
     is spot-checked on ``CONTRACTIVITY_SAMPLES`` seeded in-domain points,
     split evenly over ``CONTRACTIVITY_LEVELS``; each level's are drawn,
     scaled and evaluated as one stack, with Q0 evaluated once per point; a
     constant Q0 has the one value Q0(0) (x) I there, so nothing is drawn.
     Infeasible problems return the certificate with ``feasible=False``.
     """
-    cert, factor = _certified_factor(_dbr_choi(p), tol)
+    nodes = _pick_nodes(problems)
+    cert, factor = _certified_factor(_dbr_support(nodes), tol)
     if factor is None:
         return SolveReport(False, cert)
-    col, diag = _synthesize(p, factor, cert, tol, "zero")
+    col, diag = _synthesize(nodes, factor, cert, tol, "zero")
+    Q0 = nodes[0].Q0
     rng = np.random.default_rng(CONTRACTIVITY_SEED)
     per_level = CONTRACTIVITY_SAMPLES // len(CONTRACTIVITY_LEVELS)
     norms: list[float] = []
     for lev in CONTRACTIVITY_LEVELS:
-        if p.Q0.degree == 0:
+        if Q0.degree == 0:
             # every point has the value Q0(0) (x) I, inside the disk as Q0(Z0) is
-            QZ = _eval_poly_stack(p.Q0, np.zeros((per_level, p.Q0.d, lev, lev)))
+            QZ = _eval_poly_stack(Q0, np.zeros((per_level, Q0.d, lev, lev)))
         else:
             # the samples' Q0 values have norm below 0.9, which is also the
             # transfer function's domain check
-            _, QZ = _sample_stack(p.Q0, lev, per_level, rng, target=0.9)
+            _, QZ = _sample_stack(Q0, lev, per_level, rng, target=0.9)
         norms += _operator_norms(_transfer_stack(col, QZ)).tolist()
     return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
 

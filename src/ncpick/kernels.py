@@ -13,19 +13,18 @@ Q0(W) (transfer functions and the Oka-Weil tail take M_rho = A_rho).  The
 test suite keeps the truncated geometric series, with its a-priori tail
 bound, as an independent oracle.  A linear map on matrices is represented
 by its matrix on row-major vectorized inputs, and its Choi matrix is a
-reshape of that matrix (``map_matrix_to_choi``; ``cp_check_finite``
-applies the same reshape to rectangular pair blocks).  On top of that sit
+reshape of that matrix (``map_matrix_to_choi``; ``_dbr_support`` applies
+the same reshape to rectangular pair blocks).  On top of that sit
 PSD certificates, Kolmogorov factors certified by their own
 eigendecomposition, the finite complete-positivity test of the Szego
 kernel, and the de Branges-Rovnyak kernel used by the interpolation
 criteria.
 
-Single-node de Branges-Rovnyak data (Q0, Z0, A0, B0) lives in one place,
-``PickProblem``: its construction is the only validation of that data and
-the only evaluation of Q0(Z0).  From it, ``_dbr_map`` and ``_dbr_choi`` are
-the one route to the map and its Choi matrix; ``dbr_map_matrix``,
-``dbr_choi``, the Pick pipeline, the Stein-dominance test and the
-lurking-isometry synthesis all go through them.
+De Branges-Rovnyak data lives in one place, ``PickProblem``: its
+construction is the only validation of a node (Q0, Z0, A0, B0) and the
+only evaluation of Q0(Z0), and a Pick problem on a finite set is a list of
+nodes over one Q0.  ``_dbr_support`` assembles every de Branges-Rovnyak
+and Szego Choi matrix on its support, pair by pair from ``_dbr_pair``.
 
 Everything here is pure and operates on immutable inputs; callers may
 parallelize across independent (Z, W, P) triples.
@@ -43,7 +42,6 @@ from .core import (
     MatrixTuple,
     NcMatrixPolynomial,
     _eval_in_domain,
-    amp,
 )
 
 __all__ = [
@@ -175,16 +173,16 @@ def _on_support(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (C if live.all() else C[np.ix_(live, live)]), live
 
 
-def _certified_factor(C: ChoiMatrix,
-                      psd_tol: float) -> tuple[PsdCertificate, KolmogorovFactor | None]:
-    """PSD certificate of C and, on a ``psd`` verdict, its Kolmogorov factor.
+def _certified_factor(C: np.ndarray,
+                      psd_tol: float) -> tuple[PsdCertificate, np.ndarray | None]:
+    """PSD certificate of the Choi matrix C and, on a ``psd`` verdict, its factor F.
 
     One ``eigh`` of C on its support (``_on_support``) gives both: the
-    verdict is ``psd_check``'s dead band at ``psd_tol``, and the factor keeps
-    the eigenvalues above ``KOLMOGOROV_RANK_TOL`` times the largest (none if
-    that is not positive), with zero rows off the support.
+    verdict is ``psd_check``'s dead band at ``psd_tol``, and F, with
+    C = F F^*, keeps the eigenvalues above ``KOLMOGOROV_RANK_TOL`` times the
+    largest (none if that is not positive), with zero rows off the support.
     """
-    S, live = _on_support(C.matrix)
+    S, live = _on_support(C)
     vals, vecs = np.linalg.eigh(_hermitian_part(S))
     lo, hi = (float(vals[0]), float(vals[-1])) if vals.size else (0.0, 0.0)
     cert = _certificate(lo, hi, psd_tol)
@@ -193,7 +191,7 @@ def _certified_factor(C: ChoiMatrix,
     keep = vals > KOLMOGOROV_RANK_TOL * max(cert.max_eig, 0.0)
     F = np.zeros((live.size, np.count_nonzero(keep)), dtype=complex)
     F[live] = vecs[:, keep] * np.sqrt(vals[keep])
-    return cert, KolmogorovFactor(F.shape[1], F.reshape(C.n, C.block_dim, F.shape[1]))
+    return cert, F
 
 
 def kolmogorov_factor(C: ChoiMatrix, *, psd_tol: float = PSD_REL_TOL) -> KolmogorovFactor:
@@ -205,10 +203,10 @@ def kolmogorov_factor(C: ChoiMatrix, *, psd_tol: float = PSD_REL_TOL) -> Kolmogo
     whose one ``eigh`` also gives the PSD test at ``psd_tol``; raises
     ``NotPsdError`` on a ``not_psd`` verdict.
     """
-    cert, factor = _certified_factor(C, psd_tol)
-    if factor is None:
+    cert, F = _certified_factor(C.matrix, psd_tol)
+    if F is None:
         raise NotPsdError(f"Choi matrix is not PSD (min eig {cert.min_eig:.3g})")
-    return factor
+    return KolmogorovFactor(F.shape[1], F.reshape(C.n, C.block_dim, F.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,95 +281,18 @@ def szego_kernel_solve(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P
 
 
 # ---------------------------------------------------------------------------
-# Choi tests on finitely generated sets
+# de Branges-Rovnyak Choi matrices on finite node sets
 # ---------------------------------------------------------------------------
-
-
-def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
-                    rel_tol: float = PSD_REL_TOL) -> tuple[PsdCertificate, ChoiMatrix]:
-    """Certify complete positivity of the Szego kernel on a finite generating set.
-
-    The kernel respects direct sums, so on the set generated by ``Omega_F``
-    it is the map P -> k_{Q0}(Z, Z)(P) at the direct-sum point Z of level
-    N.  For points a, b the map sends the (a, b) input block into the
-    (a, b) output block by the Stein solve from Q0(Za) and Q0(Zb) (each
-    evaluated once) and is zero elsewhere; each pair's Choi block is written
-    into the full Choi matrix, viewed as (i, r, j, c).  As in every
-    certificate, the PSD test runs on its support (``_on_support``), without
-    the zero rows off the point blocks or inside them (a diagonal point's),
-    so ``min_eig`` is the margin of the data, not of the padding.  The (b, a)
-    blocks are solved, not copied, so the Hermiticity test compares
-    independent solves; the tested matrix is their exactly Hermitian part,
-    which the returned full Choi matrix (n = N, block_dim = N) holds there.
-    """
-    if not Omega_F:
-        raise ValueError("need at least one point")
-    d0 = Omega_F[0].d
-    if any(Z.d != d0 for Z in Omega_F):
-        raise DimensionMismatchError("points have different variable counts")
-    _check_row_poly(Q0)
-    values = [_eval_in_domain(Q0, Z) for Z in Omega_F]
-    levels = [Z.n for Z in Omega_F]
-    offs = np.concatenate(([0], np.cumsum(levels))).astype(int)
-    N = int(offs[-1])
-    full = np.zeros((N * N, N * N), dtype=complex)
-    blocks = full.reshape(N, N, N, N)
-    for QZa, na, oa in zip(values, levels, offs):
-        for QZb, nb, ob in zip(values, levels, offs):
-            K = _szego_solve(QZa, QZb, np.eye(na * nb))
-            blocks[oa : oa + na, oa : oa + na, ob : ob + nb, ob : ob + nb] = (
-                _choi_reshuffle(K, (na, nb), (na, nb)).reshape(na, na, nb, nb))
-    support, live = _on_support(full)
-    support = _hermitian_part(support)
-    full[np.ix_(live, live)] = support
-    return psd_check(support, rel_tol), ChoiMatrix(N, N, full)
-
-
-def _sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of T -> A0 (T (x) I_c) A0^* on row-major vectorized n x n inputs.
-
-    A0 is a validated coefficient-major value of shape (e n) x (c n); the
-    result maps vec(T) to vec of an (e n) x (e n) matrix.  With P_q the q-th
-    block column of A0 it is sum_q P_q (x) conj(P_q), one ``einsum`` over q.
-    """
-    en, c = A0.shape[0], A0.shape[1] // n
-    P = A0.reshape(en, c, n)
-    return np.einsum("aqi,bqj->abij", P, P.conj()).reshape(en * en, n * n)
-
-
-def dbr_kernel(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
-               aZ, aW, bZ, bW) -> np.ndarray:
-    """Generalized de Branges-Rovnyak kernel value.
-
-    Returns ``a(Z) (k(Z,W)(P) (x) I_Y) a(W)^* - b(Z) (k(Z,W)(P) (x) I_U) b(W)^*``
-    with the Szego kernel computed by exact solve.  ``aZ, aW`` are values of
-    the left function at Z and W (shape (e n) x (y n), coefficient-major),
-    ``bZ, bW`` likewise with column coefficient dimension u.
-    """
-    aZ = np.asarray(aZ, dtype=complex)
-    aW = np.asarray(aW, dtype=complex)
-    bZ = np.asarray(bZ, dtype=complex)
-    bW = np.asarray(bW, dtype=complex)
-    n, m = Z.n, W.n
-    if aZ.shape[1] % n or aW.shape[1] % m or bZ.shape[1] % n or bW.shape[1] % m:
-        raise DimensionMismatchError("tangential values are not over the point levels")
-    y = aZ.shape[1] // n
-    u = bZ.shape[1] // n
-    if aW.shape[1] // m != y or bW.shape[1] // m != u:
-        raise DimensionMismatchError("left/right coefficient dimensions differ")
-    if aZ.shape[0] != bZ.shape[0] or aW.shape[0] != bW.shape[0]:
-        raise DimensionMismatchError("a and b must share the E row space")
-    k = szego_kernel_solve(Q0, Z, W, P)
-    return aZ @ amp(k, y) @ aW.conj().T - bZ @ amp(k, u) @ bW.conj().T
 
 
 @dataclass(frozen=True)
 class PickProblem:
-    """Single-point left-tangential data A0 S(Z0) = B0 over the disk of Q0.
+    """Single-node left-tangential data A0 S(Z0) = B0 over the disk of Q0.
 
     A0 has shape (e n) x (y n) and B0 has shape (e n) x (u n) in the
     coefficient-major layout, where n is the level of Z0.  Construction is
-    the one validation of single-node de Branges-Rovnyak data.
+    the one validation of a node's de Branges-Rovnyak data; a Pick problem
+    on a finite set is a list of nodes over one Q0 (``_pick_nodes``).
     """
 
     Q0: NcMatrixPolynomial
@@ -415,25 +336,122 @@ class PickProblem:
         return self.B0.shape[1] // self.n
 
 
-def _dbr_map(p: PickProblem) -> np.ndarray:
-    """Matrix of the de Branges-Rovnyak map at the node, on vec inputs.
+def _pick_nodes(problems: PickProblem | Sequence[PickProblem]) -> list[PickProblem]:
+    """The nodes of one ``PickProblem`` or a list of them, each exactly equal node once.
 
-    The one route from validated data to the map: the Stein solve runs on
-    the problem's own Q0(Z0).
+    The nodes must share Q0, dimY and dimU.  A node equal entry for entry
+    to an earlier one (Z0, A0 and B0) generates no more of the set, and
+    certifying it twice would only add the exact zero of a repeated row
+    pair, so the first is kept and the repeat dropped.
     """
-    _check_row_poly(p.Q0)
-    K = _szego_solve(p._QZ0, p._QZ0, np.eye(p.n * p.n))
-    return (_sandwich_matrix(p.A0, p.n) - _sandwich_matrix(p.B0, p.n)) @ K
+    nodes = [problems] if isinstance(problems, PickProblem) else list(problems)
+    if not nodes:
+        raise ValueError("need at least one node")
+    first = nodes[0]
+    if any(p.Q0 != first.Q0 or (p.dimY, p.dimU) != (first.dimY, first.dimU)
+           for p in nodes[1:]):
+        raise DimensionMismatchError("nodes must share Q0, dimU and dimY")
+    entries = [(*p.Z0.components, p.A0, p.B0) for p in nodes]
+    return [p for k, p in enumerate(nodes)
+            if not any(all(map(np.array_equal, entries[k], entries[j])) for j in range(k))]
 
 
-def _dbr_choi(p: PickProblem) -> ChoiMatrix:
-    """Choi matrix of the de Branges-Rovnyak map: n x n blocks of side e n."""
-    return map_matrix_to_choi(_dbr_map(p), p.n, p.A0.shape[0])
+def _sandwich_matrix(Aa: np.ndarray, Ab: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """Matrix of T -> Aa (T (x) I_c) Ab^* on row-major vectorized na x nb inputs.
+
+    Aa and Ab are validated coefficient-major values of shapes (ea na) x
+    (c na) and (eb nb) x (c nb).  With Pa_q, Pb_q their q-th block columns
+    it is sum_q Pa_q (x) conj(Pb_q), one ``einsum`` over q.
+    """
+    c = Aa.shape[1] // na
+    Pa, Pb = Aa.reshape(Aa.shape[0], c, na), Ab.reshape(Ab.shape[0], c, nb)
+    return np.einsum("aqi,bqj->abij", Pa, Pb.conj()).reshape(Aa.shape[0] * Ab.shape[0], na * nb)
+
+
+def _dbr_pair(pa: PickProblem, pb: PickProblem, rhs: np.ndarray) -> np.ndarray:
+    """The pair map of nodes a and b on vec inputs ``rhs`` (columns vec P).
+
+    P -> A_a (k(Z_a, Z_b)(P) (x) I_Y) A_b^* - B_a (k (x) I_U) B_b^*: the Stein
+    solve from the nodes' own Q0 values, then the two sandwiches.
+    """
+    _check_row_poly(pa.Q0)
+    K = _szego_solve(pa._QZ0, pb._QZ0, rhs)
+    return (_sandwich_matrix(pa.A0, pb.A0, pa.n, pb.n)
+            - _sandwich_matrix(pa.B0, pb.B0, pa.n, pb.n)) @ K
+
+
+def _dbr_support(nodes: Sequence[PickProblem]) -> np.ndarray:
+    """The de Branges-Rovnyak Choi matrix of a node list on its support.
+
+    At the direct sum of the nodes the map sends input block (a, b) into
+    output block (a, b) only, so its Choi matrix lives on the rows (i, row)
+    with i and row in one node's blocks: side sum_a e_a n_a^2, and for one
+    node its whole Choi matrix (n blocks of side e n).  Block (a, b) is the
+    Choi block of the pair map; the (b, a) blocks are solved, not copied,
+    so p nodes take p^2 Stein solves and no Q0 evaluation.
+    """
+    return np.block([[_choi_reshuffle(_dbr_pair(pa, pb, np.eye(pa.n * pb.n)), (pa.n, pb.n),
+                                      (pa.A0.shape[0], pb.A0.shape[0])) for pb in nodes]
+                     for pa in nodes])
+
+
+def cp_check_finite(Q0: NcMatrixPolynomial, Omega_F: Sequence[MatrixTuple],
+                    rel_tol: float = PSD_REL_TOL) -> tuple[PsdCertificate, ChoiMatrix]:
+    """Certify complete positivity of the Szego kernel on a finite generating set.
+
+    The kernel respects direct sums, so on the set generated by ``Omega_F``
+    it is the map P -> k_{Q0}(Z, Z)(P) at the direct-sum point Z of level
+    N: the de Branges-Rovnyak map of the nodes (Z_a, I, 0), each exactly
+    equal point taken once, with ``_dbr_support``'s Choi matrix.  As in
+    every certificate, the PSD test runs on the support, less the zero rows
+    inside a block (a diagonal point's), so ``min_eig`` is the margin of
+    the data, not of padding.  The (b, a) blocks are solved independently,
+    so the Hermiticity test compares independent solves; the tested matrix
+    is their exactly Hermitian part, which the returned full Choi matrix of
+    the distinct points (n = N, block_dim = N, viewed as (i, r, j, c)) holds.
+    """
+    if not Omega_F:
+        raise ValueError("need at least one point")
+    d0 = Omega_F[0].d
+    if any(Z.d != d0 for Z in Omega_F):
+        raise DimensionMismatchError("points have different variable counts")
+    _check_row_poly(Q0)
+    nodes = _pick_nodes([PickProblem(Q0, Z, np.eye(Z.n), np.zeros((Z.n, 0)))
+                         for Z in Omega_F])
+    S = _dbr_support(nodes)
+    support, live = _on_support(S)
+    support = _hermitian_part(support)
+    S[np.ix_(live, live)] = support
+    # the support rows (i, r), i and r in one point's block, are the Choi rows i N + r
+    block = np.repeat(np.arange(len(nodes)), [p.n for p in nodes])
+    rows, N = np.flatnonzero(block[:, None] == block), block.size
+    full = np.zeros((N * N, N * N), dtype=complex)
+    full[np.ix_(rows, rows)] = S
+    return psd_check(support, rel_tol), ChoiMatrix(N, N, full)
+
+
+def dbr_kernel(Q0: NcMatrixPolynomial, Z: MatrixTuple, W: MatrixTuple, P,
+               aZ, aW, bZ, bW) -> np.ndarray:
+    """Generalized de Branges-Rovnyak kernel value.
+
+    Returns ``a(Z) (k(Z,W)(P) (x) I_Y) a(W)^* - b(Z) (k(Z,W)(P) (x) I_U) b(W)^*``,
+    the pair map of the nodes (Z, aZ, bZ) and (W, aW, bW) applied to vec P.
+    ``aZ, aW`` are values of the left function at Z and W (shape (e n) x
+    (y n), coefficient-major), ``bZ, bW`` likewise with column coefficient
+    dimension u; ``PickProblem`` and ``_pick_nodes`` validate them.
+    """
+    pZ, pW = PickProblem(Q0, Z, aZ, bZ), PickProblem(Q0, W, aW, bW)
+    _pick_nodes([pZ, pW])  # the pair's shared dimensions
+    P = np.asarray(P, dtype=complex)
+    if P.shape != (Z.n, W.n):
+        raise DimensionMismatchError("P must be level(Z) x level(W)")
+    return _dbr_pair(pZ, pW, P.reshape(-1, 1)).reshape(pZ.A0.shape[0], pW.A0.shape[0])
 
 
 def dbr_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> np.ndarray:
     """Matrix of P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on vec inputs."""
-    return _dbr_map(PickProblem(Q0, Z, A0, B0))
+    p = PickProblem(Q0, Z, A0, B0)
+    return _dbr_pair(p, p, np.eye(p.n * p.n))
 
 
 def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
@@ -442,7 +460,8 @@ def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
     The map is P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on n x n inputs;
     its Choi matrix has n x n blocks of side (e n), the row dimension of A0.
     """
-    return _dbr_choi(PickProblem(Q0, Z, A0, B0))
+    p = PickProblem(Q0, Z, A0, B0)
+    return ChoiMatrix(p.n, p.A0.shape[0], _dbr_support([p]))
 
 
 def _choi_reshuffle(Mmat: np.ndarray, in_shape: tuple[int, int],

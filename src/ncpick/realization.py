@@ -8,10 +8,11 @@ polynomial Q0,
 
 is a noncommutative function on the disk of Q0, contractive whenever U is.
 ``lurking_isometry_synthesize`` runs the construction in the opposite
-direction: from feasible single-point tangential data, validated once as a
-``kernels.PickProblem``, it factors the de Branges-Rovnyak Choi matrix and
-reads a contractive colligation off the Gram-equal vector families.  One
-``tol`` sets both the PSD dead band of that Choi matrix and the Gram check.
+direction: from feasible tangential data, validated once per node as a
+``kernels.PickProblem`` (``interpolation.solve_pick`` passes node lists),
+it factors the de Branges-Rovnyak Choi matrix on its support and reads a
+contractive colligation off the Gram-equal vector families.  One ``tol``
+sets both the PSD dead band of that Choi matrix and the Gram check.
 
 Level-n operators use these layouts (all coefficient-major elsewhere):
 state space at level n is C^n (x) X (point index outer), the tensor slot
@@ -46,7 +47,7 @@ from .kernels import (
     PickProblem,
     PsdCertificate,
     _certified_factor,
-    _dbr_choi,
+    _dbr_support,
     _phi_matrix,
     _stein_solve,
     psd_check,
@@ -316,42 +317,41 @@ def lurking_isometry_synthesize(Q0: NcMatrixPolynomial, Z0: MatrixTuple, a0, b0,
     if completion not in ("zero", "unitary"):
         raise ValueError("completion must be 'zero' or 'unitary'")
     p = PickProblem(Q0, Z0, a0, b0)
-    cert, factor = _certified_factor(_dbr_choi(p), tol)
+    cert, factor = _certified_factor(_dbr_support([p]), tol)
     if factor is None:
         raise NotPsdError(
             f"de Branges-Rovnyak Choi matrix is not PSD (min eig {cert.min_eig:.3g})"
         )
-    return _synthesize(p, factor, cert, tol, completion)
+    return _synthesize([p], factor, cert, tol, completion)
 
 
-def _synthesize(p: PickProblem, factor: KolmogorovFactor, cert: PsdCertificate, tol: float,
-                completion: str) -> tuple[Colligation, SynthesisDiagnostics]:
-    """Body of ``lurking_isometry_synthesize`` on validated data.
+def _synthesize(nodes: list[PickProblem], factor: np.ndarray, cert: PsdCertificate,
+                tol: float, completion: str) -> tuple[Colligation, SynthesisDiagnostics]:
+    """Body of ``lurking_isometry_synthesize`` on validated nodes.
 
-    The data and its node value Q0(Z0) come from the problem ``p``, and
-    ``factor`` and ``cert`` from ``kernels._certified_factor``'s one
-    ``eigh`` of its de Branges-Rovnyak Choi matrix.  The D family's top
-    rows are one ``einsum`` of Q0(Z0)^* with the factor.  One thin SVD of
-    the D family is the rank-revealing step: it gives the orthonormal basis
-    of span D and, with the R family, the lurking isometry.
+    ``factor`` (F F^* = ``kernels._dbr_support(nodes)``) and ``cert`` come
+    from ``kernels._certified_factor``'s one ``eigh``.  Each node's rows of
+    F are its Kolmogorov blocks, and its columns of the D family have top
+    rows from one ``einsum`` of Q0(Z_a)^* with them.  One thin SVD of the D
+    family is the rank-revealing step: it gives the orthonormal basis of
+    span D and, with the R family, the lurking isometry.
     """
-    QZ0, a0, b0 = p._QZ0, p.A0, p.B0
-    n, e_dim, y, u, r = p.n, p.dimE, p.dimY, p.dimU, p.Q0.r
-    X = factor.rank
-    H = factor.stacked  # (e n) x (n X), domain C^n (x) X
-
-    en = e_dim * n
-    K = n * en  # family size: n coordinate rows, en basis vectors
-    Hh = H.conj().T  # (n X) x (e n), columns indexed by the basis of E^n
-
-    # top of the D family: rows (rho, i, x) of (Q0(Z0)^* (x) I_X) H^* e at column (i, e)
-    Hh3 = Hh.reshape(n, X, en)
-    Dtop = np.einsum("jri,jxc->rxic", QZ0.conj().reshape(n, r, n), Hh3).reshape(r * X, K)
-    Rtop = Hh3.transpose(1, 0, 2).reshape(X, K)
-    Dbot = a0.conj().T.reshape(y, n, en).reshape(y, K)
-    Rbot = b0.conj().T.reshape(u, n, en).reshape(u, K)
-    Dmat = np.vstack([Dtop, Dbot])
-    Rmat = np.vstack([Rtop, Rbot])
+    y, u, r = nodes[0].dimY, nodes[0].dimU, nodes[0].Q0.r
+    X = factor.shape[1]
+    Dcols, Rcols, off = [], [], 0
+    for p in nodes:
+        n, en = p.n, p.A0.shape[0]
+        K = n * en  # node family size: n coordinate rows, en basis vectors
+        # H: (e n) x (n X), domain C^n (x) X; H^* has columns indexed by the basis of E^n
+        H = KolmogorovFactor(X, factor[off : off + K].reshape(n, en, X)).stacked
+        off += K
+        # top of the D family: rows (rho, i, x) of (Q0(Z)^* (x) I_X) H^* e at column (i, e)
+        Hh3 = H.conj().T.reshape(n, X, en)
+        Dtop = np.einsum("jri,jxc->rxic", p._QZ0.conj().reshape(n, r, n), Hh3).reshape(r * X, K)
+        Rtop = Hh3.transpose(1, 0, 2).reshape(X, K)
+        Dcols.append(np.vstack([Dtop, p.A0.conj().T.reshape(y, K)]))
+        Rcols.append(np.vstack([Rtop, p.B0.conj().T.reshape(u, K)]))
+    Dmat, Rmat = np.hstack(Dcols), np.hstack(Rcols)
 
     gram_D = Dmat.conj().T @ Dmat
     gram_R = Rmat.conj().T @ Rmat
@@ -393,12 +393,13 @@ def _synthesize(p: PickProblem, factor: KolmogorovFactor, cert: PsdCertificate, 
     col = _colligation(Ustar.conj().T, X, r, flags if completion == "unitary" else ())
     object.__setattr__(col, "flags", flags)
 
-    S0 = _transfer_stack(col, QZ0[None])[0]
-    resid = float(np.linalg.norm(a0 @ S0 - b0, 2))
+    # nc functions respect direct sums: S at each node is read separately
+    resid = max(float(np.linalg.norm(p.A0 @ _transfer_stack(col, p._QZ0[None])[0] - p.B0, 2))
+                for p in nodes)
     diag_out = SynthesisDiagnostics(
         choi_min_eig=cert.min_eig,
         state_dim=X,
-        family_size=K,
+        family_size=Dmat.shape[1],
         gram_residual=gram_resid,
         colligation_norm=float(norm_U),
         interp_residual=resid,

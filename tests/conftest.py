@@ -8,6 +8,7 @@ from ncpick.core import DimensionMismatchError, DomainError, MatrixTuple, _eval_
     direct_sum_many, operator_norm
 from ncpick.envelopes import INJECTIVITY_TOL, INJECTIVITY_TRIALS, WITNESS_COND_BOUND, \
     intertwiner_space
+from ncpick.kernels import PickProblem
 from ncpick.realization import amplify
 
 
@@ -175,6 +176,45 @@ def szego_tail_bound(Q0, Z: MatrixTuple, W: MatrixTuple, P, L: int) -> float:
     return rho ** (L + 1) / (1.0 - rho) * normP
 
 
+# The fused single-node route, an oracle for the node-list Choi support
+
+
+def multi_point_to_single(problems):
+    """Fuse nodes sharing Q0 into one single-node ``PickProblem``.
+
+    Nodes and tangential data are direct-summed; the row spaces E_a of the
+    nodes are embedded into their direct sum.  The fused Choi matrix has
+    side e_tot N^2 (N the summed level, e_tot the summed dim E) and holds
+    the node-list support of side sum_a e_a n_a^2 among exactly-zero rows
+    and columns.
+    """
+    if not problems:
+        raise ValueError("need at least one problem")
+    first = problems[0]
+    if any(p.Q0 != first.Q0 for p in problems):
+        raise DimensionMismatchError("problems must share the defining polynomial")
+    if any((p.dimY, p.dimU) != (first.dimY, first.dimU) for p in problems):
+        raise DimensionMismatchError("problems must share dimU and dimY")
+    if len(problems) == 1:
+        return first
+    y, u = first.dimY, first.dimU
+    es = [p.dimE for p in problems]
+    e_tot = sum(es)
+    levels = [p.n for p in problems]
+    N = sum(levels)
+    A0 = np.zeros((e_tot * N, y * N), dtype=complex)
+    B0 = np.zeros((e_tot * N, u * N), dtype=complex)
+    e_off = n_off = 0
+    # on the views (e, N, y, N) and (e, N, u, N) each summand is one block
+    for p, e_i, n_i in zip(problems, es, levels):
+        rows, pts = slice(e_off, e_off + e_i), slice(n_off, n_off + n_i)
+        A0.reshape(e_tot, N, y, N)[rows, pts, :, pts] = p.A0.reshape(e_i, n_i, y, n_i)
+        B0.reshape(e_tot, N, u, N)[rows, pts, :, pts] = p.B0.reshape(e_i, n_i, u, n_i)
+        e_off += e_i
+        n_off += n_i
+    return PickProblem(first.Q0, direct_sum_many([p.Z0 for p in problems]), A0, B0)
+
+
 # Kronecker-loop vec-matrices and the einsum state maps, oracles for the
 # einsum / matmul forms in ``kernels`` and ``realization``
 
@@ -190,13 +230,12 @@ def kron_phi_matrix(QZ: np.ndarray, QW: np.ndarray, r: int) -> np.ndarray:
     return M
 
 
-def kron_sandwich_matrix(A0: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of T -> A0 (T (x) I_c) A0^* on row-major vec inputs, by ``np.kron``."""
-    c = A0.shape[1] // n
-    out = np.zeros((A0.shape[0] ** 2, n * n), dtype=complex)
+def kron_sandwich_matrix(Aa: np.ndarray, Ab: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """Matrix of T -> Aa (T (x) I_c) Ab^* on row-major vec na x nb inputs, by ``np.kron``."""
+    c = Aa.shape[1] // na
+    out = np.zeros((Aa.shape[0] * Ab.shape[0], na * nb), dtype=complex)
     for q in range(c):
-        blockcol = A0[:, q * n : (q + 1) * n]
-        out += np.kron(blockcol, blockcol.conj())
+        out += np.kron(Aa[:, q * na : (q + 1) * na], Ab[:, q * nb : (q + 1) * nb].conj())
     return out
 
 
@@ -212,7 +251,8 @@ def stein_dominance_choi(Q0, Z0: MatrixTuple, Lambda0) -> np.ndarray:
     e = L0.shape[0]
     K = np.stack([szego_kernel_series(Q0, Z0, Z0, E.reshape(n, n), tol=1e-15)[0].ravel()
                   for E in np.eye(n * n)], axis=1)
-    M = (kron_sandwich_matrix(np.eye(e), n) - kron_sandwich_matrix(L0, n)) @ K
+    M = (kron_sandwich_matrix(np.eye(e), np.eye(e), n, n)
+         - kron_sandwich_matrix(L0, L0, n, n)) @ K
     return np.block([[M[:, i * n + j].reshape(e, e) for j in range(n)] for i in range(n)])
 
 

@@ -1,6 +1,7 @@
 """Public names resolve, the traced benchmark still finds what it wraps, the
 settable values of the public API are budgeted, dense solves stay in one
-place, and each CLI command reads exactly the options it takes."""
+place, Choi blocks are reshuffled on one assembly route, and each CLI
+command reads exactly the options it takes."""
 
 import ast
 import importlib
@@ -134,8 +135,8 @@ def test_no_unused_imports(path):
     assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
 
 
-def solve_sites(source: str, module: str) -> list[str]:
-    """``module.function`` of each ``linalg.solve`` use; ``module`` for an imported ``solve``."""
+def scoped_sites(source: str, module: str, hit) -> list[str]:
+    """``module.function`` (``module`` at top level) of each AST node for which ``hit`` holds."""
     sites, scope = [], [module]
 
     class Visitor(ast.NodeVisitor):
@@ -146,19 +147,31 @@ def solve_sites(source: str, module: str) -> list[str]:
 
         visit_AsyncFunctionDef = visit_FunctionDef
 
-        def visit_Attribute(self, node):
-            base = getattr(node.value, "attr", getattr(node.value, "id", None))
-            if node.attr == "solve" and base == "linalg":
+        def generic_visit(self, node):
+            if hit(node):
                 sites.append(".".join(scope))
-            self.generic_visit(node)
-
-        def visit_ImportFrom(self, node):
-            names = [alias.name for alias in node.names]
-            if (node.module or "").endswith("linalg") and "solve" in names:
-                sites.append(module)
+            super().generic_visit(node)
 
     Visitor().visit(ast.parse(source))
     return sites
+
+
+def solve_sites(source: str, module: str) -> list[str]:
+    """The scope of each ``linalg.solve`` use and of each import of ``solve`` from a linalg."""
+    def hit(node):
+        if isinstance(node, ast.Attribute):
+            base = getattr(node.value, "attr", getattr(node.value, "id", None))
+            return node.attr == "solve" and base == "linalg"
+        return (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+                and "solve" in [alias.name for alias in node.names])
+
+    return scoped_sites(source, module, hit)
+
+
+def call_sites(source: str, module: str, callee: str) -> list[str]:
+    """The scope of each call of ``callee``, by its bare name or as an attribute."""
+    return scoped_sites(source, module, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == callee)
 
 
 def test_solve_sites_detected():
@@ -174,6 +187,21 @@ def test_one_identity_minus_solve():
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in solve_sites(path.read_text(encoding="utf-8"), path.stem)]
     assert sites == ["kernels._stein_solve"]
+
+
+def test_call_sites_detected():
+    source = "def f():\n    def g():\n        return h(1)\n    return m.h(2) + k(h)\nh(4)\n"
+    assert call_sites(source, "m", "h") == ["m.f.g", "m.f", "m"]
+
+
+def test_one_choi_assembly():
+    # every Choi block is reshuffled in one of two places: the per-pair
+    # assembly of the de Branges-Rovnyak and Szego Choi matrices, and the
+    # Choi matrix of a map given whole
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in call_sites(path.read_text(encoding="utf-8"), path.stem,
+                                    "_choi_reshuffle")]
+    assert sites == ["kernels._dbr_support", "kernels.map_matrix_to_choi"]
 
 
 def option_reads(source: str) -> dict[str, set[str]]:

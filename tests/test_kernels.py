@@ -185,13 +185,17 @@ class TestVecMatrices:
         got = kernels._phi_matrix(QZ[None], QW.conj().reshape(m, r, m).transpose(1, 0, 2))[0]
         assert _rel_err(got, want) <= 1e-14
 
-    @given(c=st.integers(1, 3), e=st.integers(1, 3), n=st.integers(1, 4),
-           seed=st.integers(0, 2**16))
+    @given(c=st.integers(1, 3), e=st.integers(1, 3), f=st.integers(1, 3), n=st.integers(1, 4),
+           m=st.integers(1, 4), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_sandwich_matrix_matches_kron_oracle(self, c, e, n, seed):
-        A0 = complex_gaussian(np.random.default_rng(seed), (e * n, c * n))
-        want = kron_sandwich_matrix(A0, n)
-        assert _rel_err(kernels._sandwich_matrix(A0, n), want) <= 1e-14
+    def test_sandwich_matrix_matches_kron_oracle(self, c, e, f, n, m, seed):
+        # a pair of nodes: levels n and m, row dimensions e and f
+        if m == n:
+            m = n % 4 + 1
+        rng = np.random.default_rng(seed)
+        Aa, Ab = complex_gaussian(rng, (e * n, c * n)), complex_gaussian(rng, (f * m, c * m))
+        want = kron_sandwich_matrix(Aa, Ab, n, m)
+        assert _rel_err(kernels._sandwich_matrix(Aa, Ab, n, m), want) <= 1e-14
 
     def test_cp_check_makes_no_kronecker_product(self, monkeypatch, rng):
         Q = random_row_poly(rng, 2, r=2, degree=2, terms=3)
@@ -477,6 +481,19 @@ class TestCpCheckFinite:
         assert cert.is_psd
         # inside the dead band only at 1e-3, where the band is 1e-3 * 3.40
         assert cert.marginal == (lo < tol * hi)
+
+    @pytest.mark.parametrize("tol", [1e-18, 1e-9])
+    def test_repeated_point_reads_the_distinct_points_margin(self, tol):
+        # [Z, W, Z] generates the set [Z, W] does; certifying Z twice would read
+        # the exact zero of the repeated rows (about -1e-15, not_psd at 1e-18)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            Q = random_row_poly(rng, 2, r=2, degree=2)
+            Z, W = sample_in_domain(Q, 3, rng, 0.6), sample_in_domain(Q, 2, rng, 0.6)
+            want, choi = cp_check_finite(Q, [Z, W], tol)
+            got, choi3 = cp_check_finite(Q, [Z, W, MatrixTuple(Z.components)], tol)
+            assert got == want and want.is_psd and not want.marginal
+            assert np.array_equal(choi3.matrix, choi.matrix)
 
     @given(d=st.integers(1, 2), levels=st.tuples(*[st.integers(1, 3)] * 3),
            seed=st.integers(0, 2**16))

@@ -15,7 +15,7 @@ from ncpick.core import (
     operator_norm,
     similarity,
 )
-from ncpick.interpolation import multi_point_to_single, solve_pick
+from ncpick.interpolation import solve_pick
 from ncpick.kernels import PSD_REL_TOL, NotPsdError, PickProblem, _phi_matrix, dbr_choi, \
     kolmogorov_factor
 from ncpick.realization import (
@@ -32,7 +32,8 @@ from ncpick.realization import (
 )
 from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
 
-from conftest import agler_residual, einsum_state_maps, mt, scalar_point
+from conftest import agler_residual, einsum_state_maps, mt, multi_point_to_single, \
+    scalar_point
 
 
 def mobius_colligation(a: float) -> Colligation:
@@ -205,8 +206,8 @@ class TestAglerDecomposition:
                                                            via_solve, seed):
         # a zero completion U is a contraction, so the Agler residual is the CP
         # map P -> F(Z) [P (x) (I - U^* U)] F(Z)^*: its Choi matrix at a direct
-        # sum of the (fused) node and a sample of another level is PSD up to
-        # the dead band
+        # sum of the nodes and a sample of another level is PSD up to the dead
+        # band, for U from the node list or from the fused node
         rng = np.random.default_rng(seed)
         Q = NcMatrixPolynomial.row_pencil(d)
         source = RealizedFunction(random_contractive_colligation(source_X, u, y, d, seed=seed), Q)
@@ -217,7 +218,7 @@ class TestAglerDecomposition:
             problems.append(PickProblem(Q, Z0, a0, a0 @ transfer_eval(source, Z0)))
         p = multi_point_to_single(problems)
         if via_solve:
-            col = solve_pick(p).colligation
+            col = solve_pick(problems).colligation
         else:
             col, _ = lurking_isometry_synthesize(Q, p.Z0, p.A0, p.B0)
         Z = direct_sum(p.Z0, sample_in_domain(Q, 1 + levels[0] % 2, rng, 0.8))
