@@ -45,7 +45,6 @@ from .serialize import (
     decode_tuple,
     encode_certificate,
     encode_colligation,
-    encode_matrix,
     encode_poly,
     encode_truncation_report,
     encode_witness,
@@ -67,20 +66,32 @@ def _holds_text(obj) -> bool:
         isinstance(obj, dict) and any(_holds_text(v) for v in obj.values()))
 
 
-def _dumps(obj) -> str:
-    """Compact sorted-key JSON that writes ``JsonText`` dict values verbatim.
+def _json_parts(obj):
+    """The pieces of compact sorted-key JSON text, ``JsonText`` dict values verbatim.
 
-    Equals ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
-    allow_nan=False)`` with each ``JsonText`` in place of the value it
+    Joined, they equal ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":"), allow_nan=False)`` with each ``JsonText`` in place of the value it
     encodes, so a result that overflowed to inf or NaN raises ``ValueError``
     rather than print non-JSON.  Only dicts that hold a ``JsonText`` are
-    walked here; anything else goes to ``json`` in one call.
+    walked here; anything else goes to ``json`` in one call.  The caller
+    joins the pieces once, so a large ``JsonText`` is copied once.
     """
     if isinstance(obj, JsonText):
-        return obj.text
-    if not _holds_text(obj):
-        return _SORTED.encode(obj)
-    return "{" + ",".join(f"{_SORTED.encode(k)}:{_dumps(obj[k])}" for k in sorted(obj)) + "}"
+        yield obj.text
+    elif not _holds_text(obj):
+        yield _SORTED.encode(obj)
+    else:
+        for i, k in enumerate(sorted(obj)):
+            yield ("," if i else "{") + _SORTED.encode(k) + ":"
+            yield from _json_parts(obj[k])
+        yield "}"
+
+
+def _matrix_text(M) -> JsonText:
+    """``matrix_json`` of a computed matrix; inf or NaN raises ``ValueError``, as in ``_SORTED``."""
+    if not np.isfinite(M).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return matrix_json(M)
 
 
 def _read_input(path: str) -> dict:
@@ -98,7 +109,7 @@ def _read_input(path: str) -> dict:
 def _cmd_eval(obj, args) -> tuple[dict, bool]:
     Q = decode_poly(obj["Q"])
     Z = decode_tuple(obj["Z"])
-    return {"value": encode_matrix(eval_nc_poly(Q, Z))}, True
+    return {"value": _matrix_text(eval_nc_poly(Q, Z))}, True
 
 
 def _cmd_domain_check(obj, args) -> tuple[dict, bool]:
@@ -133,7 +144,7 @@ def _cmd_cp_check(obj, args) -> tuple[dict, bool]:
     # the fields of serialize.encode_choi, with the matrix written as JSON text
     return {"certificate": encode_certificate(cert),
             "choi": {"n": choi.n, "block_dim": choi.block_dim,
-                     "matrix": matrix_json(choi.matrix)}}, cert.is_psd
+                     "matrix": _matrix_text(choi.matrix)}}, cert.is_psd
 
 
 def _decode_pick(obj) -> PickProblem:
@@ -182,7 +193,7 @@ def _cmd_stein_check(obj, args) -> tuple[dict, bool]:
 
 def _cmd_realize_eval(obj, args) -> tuple[dict, bool]:
     f = RealizedFunction(decode_colligation(obj["colligation"]), decode_poly(obj["Q0"]))
-    return {"value": encode_matrix(transfer_eval(f, decode_tuple(obj["Z"])))}, True
+    return {"value": _matrix_text(transfer_eval(f, decode_tuple(obj["Z"])))}, True
 
 
 def _cmd_okaweil(obj, args) -> tuple[dict, bool]:
@@ -279,14 +290,15 @@ def main(argv=None) -> int:
         handler, options = _COMMANDS[args.command]
         payload, ok = handler(_read_input(args.input) if "input" in args else None, args)
         params = {k: getattr(args, k) for k in options}
-        text = _dumps({"v": SCHEMA_VERSION, **payload, "params": params})
+        # joined before anything is written, so a failed encoding prints only the error document
+        line = "".join([*_json_parts({"v": SCHEMA_VERSION, **payload, "params": params}), "\n"])
     except (KeyError, ValueError, TypeError, OverflowError, OSError, RuntimeError) as exc:
         sys.stdout.write(json.dumps(
             {"v": SCHEMA_VERSION, "error": {"type": type(exc).__name__, "message": str(exc)}},
             sort_keys=True, separators=(",", ":")) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(line)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

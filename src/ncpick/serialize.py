@@ -8,19 +8,19 @@ included), so the CLI can map them to its error exit code.
 
 ``matrix_json`` writes a matrix straight to its compact JSON text, the
 bytes ``json`` gives for ``encode_matrix``; exact +0.0 entries and rows
-share one encoded copy, and the lower entry of a bitwise conjugate pair
-reuses the upper one's text, so a mostly-zero Hermitian Choi matrix
-formats each nonzero conjugate pair once.
+share one encoded copy, and the other entries' floats are formatted in
+one batch by ``_float_texts``, which writes ``json``'s text with
+``orjson``'s Ryu shortest round-trip digits where their layouts agree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress
 from typing import Any, Mapping
 
 import numpy as np
+import orjson
 
 from .core import MatrixTuple, NcMatrixPolynomial, Word
 from .envelopes import EnvelopeWitness
@@ -63,21 +63,37 @@ class JsonText:
 
 # json.dumps(..., separators=(",", ":")) as one reusable encoder
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
-_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _float_texts(x) -> list[str]:
+    """``json``'s text for each float64 in ``x``, in order.
+
+    Ryu (``orjson``) writes the shortest round-trip digits, as ``repr``
+    does, and lays them out as ``repr`` does for 0 and 1e-4 <= |x| < 1e16;
+    outside that range ``repr`` switches to ``1e-05`` / ``1e+16`` exponent
+    forms that Ryu writes as ``0.00001`` / ``1e16``, and Ryu writes NaN and
+    infinities as ``null``, so those floats go through the ``json`` encoder.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    if not x.size:
+        return []
+    texts = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    ax = np.abs(x)
+    odd = np.flatnonzero(~((ax >= 1e-4) & (ax < 1e16)) & (x != 0))  # NaN compares false
+    if odd.size:
+        for i, text in zip(odd.tolist(), _COMPACT.encode(x[odd].tolist())[1:-1].split(",")):
+            texts[i] = text
+    return texts
 
 
 def matrix_json(M) -> JsonText:
-    """``json.dumps(encode_matrix(M), separators=(",", ":"))``, paying only for distinct entries.
+    """``json.dumps(encode_matrix(M), separators=(",", ":"))``, paying only for nonzero entries.
 
     An entry whose float64 bits are all zero (+0.0 in both parts; -0.0 and
     NaN have nonzero bits) is written as one shared encoded pair, and a row
-    of them as one shared encoded row.  A strictly-lower entry that is the
-    bitwise conjugate of its nonzero mirror (same real bits, imaginary bits
-    with the sign bit flipped) reuses the mirror's text with the sign of
-    the imaginary part toggled, so an exactly Hermitian matrix formats each
-    conjugate pair once.  The other entries' floats go through the ``json``
-    encoder in one flat list, so every float has the formatting it has in
-    any other ncpick document.
+    of them as one shared encoded row.  The other entries' floats go through
+    ``_float_texts`` in one flat array, so every float has the text ``json``
+    gives it in any other ncpick document.
     """
     A = np.ascontiguousarray(np.atleast_2d(np.asarray(M, dtype=complex)))
     if A.ndim != 2:
@@ -85,32 +101,12 @@ def matrix_json(M) -> JsonText:
     bits = A.view(np.uint64).reshape(*A.shape, 2)
     own = (bits[..., 0] | bits[..., 1]) != 0  # the entries formatted here
     live = own.any(axis=1)
-    rows = np.flatnonzero(live)
-    # strictly-lower entries that reuse their mirror's text: the mirror is
-    # nonzero, so both lie in live rows and in the columns ``rows``
-    mirrored = np.zeros((rows.size, rows.size), dtype=bool)
-    is_mirror = np.zeros_like(own)
-    if A.shape[0] == A.shape[1]:
-        block = np.ix_(rows, rows)
-        nz, re_bits, im_bits = own[block], bits[..., 0][block], bits[..., 1][block]
-        mirrored = np.tril(nz & nz.T & (re_bits == re_bits.T)
-                           & ((im_bits ^ im_bits.T) == _SIGN_BIT), -1)
-        own[block] = nz & ~mirrored
-        is_mirror[block] = mirrored.T
     zero = _COMPACT.encode([0.0, 0.0])
     zero_row = "[" + ",".join([zero] * A.shape[1]) + "]"
-    cells = np.empty((rows.size, A.shape[1]), dtype=object)
+    cells = np.empty((np.count_nonzero(live), A.shape[1]), dtype=object)
     cells.fill(zero)  # np.full converts through a str array: one new string per cell
-    # float reprs hold no commas; with no entry to format the split leaves
-    # one empty string and the slices make no pair
-    floats = _COMPACT.encode(A[own].view(np.float64).tolist())[1:-1].split(",")
-    re_text, im_text = floats[0::2], floats[1::2]
-    cells[own[live]] = [f"[{re},{im}]" for re, im in zip(re_text, im_text)]
-    # in the row-major order of their mirrors, mirrored entries run down the
-    # columns; a conjugate toggles the imaginary sign, and NaN has no sign in JSON
-    col, k = np.nonzero(mirrored.T)
-    cells[k, rows[col]] = [f"[{re},{im if im == 'NaN' else im[1:] if im[0] == '-' else '-' + im}]"
-                           for re, im in compress(zip(re_text, im_text), is_mirror[own].tolist())]
+    floats = _float_texts(A[own].view(np.float64))
+    cells[own[live]] = [f"[{re},{im}]" for re, im in zip(floats[0::2], floats[1::2])]
     rows_text = iter(cells.tolist())
     return JsonText("[" + ",".join("[" + ",".join(next(rows_text)) + "]" if row_live else zero_row
                                    for row_live in live) + "]")

@@ -29,7 +29,7 @@ from ncpick.serialize import (
     encode_poly,
     encode_tuple,
 )
-from ncpick.core import NcMatrixPolynomial, Word
+from ncpick.core import NcMatrixPolynomial, Word, eval_nc_poly
 
 from conftest import jordan_cell, mt, scalar_point
 
@@ -262,6 +262,25 @@ def test_cp_check_stdout_matches_json_encoder(capsys, monkeypatch, rng):
     assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "realize-eval"])
+def test_value_stdout_matches_json_encoder(capsys, monkeypatch, command):
+    # level 3 with a zero row and entries past the edges of Ryu's layout range
+    Q = NcMatrixPolynomial.row_pencil(2)
+    Z = mt(*(np.diag([1e-5, 0.3, 0.0]) + 1e-17j * (k + 1) * np.eye(3, k=1) for k in range(2)))
+    if command == "eval":
+        payload = {"Q": encode_poly(Q), "Z": encode_tuple(Z)}
+        value = eval_nc_poly(Q, Z)
+    else:
+        col = random_contractive_colligation(2, 1, 1, 2, seed=3)
+        payload = {"colligation": encode_colligation(col), "Q0": encode_poly(Q),
+                   "Z": encode_tuple(Z)}
+        value = transfer_eval(RealizedFunction(col, Q), Z)
+    code, _, out = run_cli([command], payload, capsys, monkeypatch)
+    want = {"v": 1, "value": encode_matrix(value), "params": {}}
+    assert code == 0
+    assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_cp_check_prints_a_bitwise_hermitian_matrix(capsys, monkeypatch, rng):
     Q = NcMatrixPolynomial.row_pencil(2)
     points = [sample_in_domain(Q, lev, rng, 0.6) for lev in (2, 3)]
@@ -451,6 +470,16 @@ class TestErrors:
         payload = {"Q": Q, "Z": encode_tuple(scalar_point(1e200))}
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, out = run_cli(["eval"], payload, capsys, monkeypatch)
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert code == 2 and doc["error"]["type"] == "ValueError"
+
+    def test_overflowing_transfer_value_rejected(self, capsys, monkeypatch):
+        # finite blocks whose transfer value C z B at z = 0.5 is 5e399, inf
+        col = {"dimX": 1, "dimU": 1, "dimY": 1, "r": 1, "A": [[[0.0, 0.0]]],
+               "B": [[[1e200, 0.0]]], "C": [[[1e200, 0.0]]], "D": [[[0.0, 0.0]]]}
+        payload = {"colligation": col, "Q0": Z_POLY, "Z": encode_tuple(scalar_point(0.5))}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, out = run_cli(["realize-eval"], payload, capsys, monkeypatch)
         doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
         assert code == 2 and doc["error"]["type"] == "ValueError"
 

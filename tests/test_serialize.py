@@ -66,8 +66,12 @@ class TestMatrixCodec:
         assert json.dumps(encode_matrix(M)) == json.dumps(want)
 
 
+# the edges of the range where Ryu's layout is repr's: 1e-4 <= |x| < 1e16
+LAYOUT_EDGES = [1e-4, np.nextafter(1e-4, 0), -1e-5, 1e16, np.nextafter(1e16, 0), 1e22]
+
 # entries that must not be mistaken for exact zeros, next to the +0.0 rows
-SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 0.1, -3.5e17]
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 0.1, -3.5e17,
+           *LAYOUT_EDGES]
 
 
 @st.composite
@@ -87,7 +91,8 @@ def matrices_with_zero_rows(draw):
 
 
 # values placed as conjugate mirror pairs: signed zeros, NaN, infinities, subnormals
-MIRRORED = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308, 0.1]
+MIRRORED = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308, 0.1,
+            *LAYOUT_EDGES]
 
 
 @st.composite
@@ -136,37 +141,44 @@ class TestMatrixJson:
         assert matrix_json(M).text == json.dumps(encode_matrix(M), separators=(",", ":"))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_conjugate_pairs_are_formatted_once(self, n, rng, monkeypatch):
-        calls = []
+    def test_nonzero_entries_are_formatted_in_one_batch(self, n, rng, monkeypatch):
+        batches = []
+        float_texts = serialize._float_texts
 
-        class Recording(json.JSONEncoder):
-            def encode(self, o):
-                calls.append(len(o))
-                return super().encode(o)
+        def recording(x):
+            batches.append(np.array(x))
+            return float_texts(x)
 
-        monkeypatch.setattr(serialize, "_COMPACT", Recording(separators=(",", ":")))
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = 0.5 * (A + A.conj().T)
-        # one shared zero pair, then two floats per entry on and above the diagonal
-        assert matrix_json(H).text == json.dumps(encode_matrix(H), separators=(",", ":"))
-        assert calls == [2, n * (n + 1)]
-        # a lower entry one bit off its mirror's conjugate is formatted itself
-        rows, cols = np.tril_indices(n, -1)
-        for flip in (1, 1 << 63):  # lowest mantissa bit, sign bit of the imaginary part
-            calls.clear()
-            G = H.copy()
-            G.view(np.uint64)[rows, 2 * cols + 1] ^= flip
-            assert matrix_json(G).text == json.dumps(encode_matrix(G), separators=(",", ":"))
-            assert calls == [2, 2 * n * n]
-        if n > 1:
-            calls.clear()
-            H[1, 0] = np.nextafter(H[1, 0].real, np.inf) + 1j * H[1, 0].imag
-            matrix_json(H)
-            assert calls == [2, n * (n + 1) + 2]
+        monkeypatch.setattr(serialize, "_float_texts", recording)
+        M = rng.standard_normal((n + 1, n)) + 1j * rng.standard_normal((n + 1, n))
+        M[0] = 0.0  # a zero row
+        M[1:, 0] = complex(-0.0, 0.0)  # nonzero bits: formatted like any other entry
+        M[-1, -1] = 0.0
+        assert matrix_json(M).text == json.dumps(encode_matrix(M), separators=(",", ":"))
+        # one call, with the two floats of each nonzero entry in row-major order
+        nonzero = M.view(np.uint64).reshape(n + 1, n, 2).any(axis=-1)
+        assert len(batches) == 1 and batches[0].size == 2 * np.count_nonzero(nonzero)
+        assert np.array_equal(batches[0].view(np.uint64), M[nonzero].view(np.uint64))
 
     def test_not_a_json_string(self):
         with pytest.raises(TypeError):
             json.dumps({"matrix": matrix_json(np.eye(2))})
+
+
+@st.composite
+def float64_bit_patterns(draw):
+    """Raw float64 bits, the exponent drawn over all 2048 codes or near Ryu's layout range."""
+    sign = draw(st.integers(0, 1))
+    exponent = draw(st.integers(0, 2047) | st.integers(1023 - 16, 1023 + 56))
+    mantissa = draw(st.sampled_from([0, 1, 2 ** 52 - 1]) | st.integers(0, 2 ** 52 - 1))
+    return (sign << 63) | (exponent << 52) | mantissa
+
+
+@given(bits=st.lists(float64_bit_patterns(), max_size=40))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_float_texts_match_json_over_bit_patterns(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert serialize._float_texts(x) == [json.dumps(v) for v in x.tolist()]
 
 
 class TestTupleCodec:
