@@ -77,6 +77,10 @@ CONTRACTIVITY_SAMPLES = 100
 CONTRACTIVITY_LEVELS = (1, 2)
 CONTRACTIVITY_SEED = 0
 
+#: Domains whose contractivity sample values ``_contractivity_values`` keeps
+_CONTRACTIVITY_DOMAINS = 32
+_contractivity_cache: dict[tuple, tuple[np.ndarray, ...]] = {}
+
 
 @dataclass(frozen=True)
 class LtoaProblem:
@@ -147,9 +151,11 @@ def solve_pick(problems: PickProblem | Sequence[PickProblem], tol: float = 1e-9)
     Kolmogorov factor for the lurking-isometry synthesis, which reports the
     interpolation residual max_a ||A_a S(Z_a) - B_a||, and contractivity
     is spot-checked on ``CONTRACTIVITY_SAMPLES`` seeded in-domain points,
-    split evenly over ``CONTRACTIVITY_LEVELS``; each level's are drawn,
-    scaled and evaluated as one stack, with Q0 evaluated once per point; a
-    constant Q0 has the one value Q0(0) (x) I there, so nothing is drawn.
+    split evenly over ``CONTRACTIVITY_LEVELS``.  Those points and their Q0
+    values depend on Q0 alone, so they are drawn once per domain and process
+    (``_contractivity_values``); each call pays only for its colligation's
+    transfer solves and norms there.  A constant Q0 has the one value
+    Q0(0) (x) I at every point, so nothing is drawn.
     Infeasible problems return the certificate with ``feasible=False``.
     """
     nodes = _pick_nodes(problems)
@@ -157,10 +163,30 @@ def solve_pick(problems: PickProblem | Sequence[PickProblem], tol: float = 1e-9)
     if factor is None:
         return SolveReport(False, cert)
     col, diag = _synthesize(nodes, factor, cert, tol, "zero")
-    Q0 = nodes[0].Q0
-    rng = np.random.default_rng(CONTRACTIVITY_SEED)
-    per_level = CONTRACTIVITY_SAMPLES // len(CONTRACTIVITY_LEVELS)
     norms: list[float] = []
+    for QZ in _contractivity_values(nodes[0].Q0):
+        norms += _operator_norms(_transfer_stack(col, QZ)).tolist()
+    return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
+
+
+def _contractivity_values(Q0: NcMatrixPolynomial) -> tuple[np.ndarray, ...]:
+    """Q0 at ``solve_pick``'s contractivity samples: one read-only stack per level.
+
+    The points depend only on Q0 and the three ``CONTRACTIVITY_*``
+    constants, so each domain's stacks are computed on first use, all levels
+    from one generator, and kept for the process in ``_contractivity_cache``
+    (first in, first out past ``_CONTRACTIVITY_DOMAINS``).  The key holds
+    Q0's exact coefficient bits, not ``==``, which equates -0.0 with 0.0,
+    and the constants as read at call time.
+    """
+    per_level = CONTRACTIVITY_SAMPLES // len(CONTRACTIVITY_LEVELS)
+    terms = sorted((w.letters, c.tobytes()) for w, c in Q0.terms.items())
+    key = (Q0.d, Q0.s, Q0.r, tuple(terms),
+           CONTRACTIVITY_SAMPLES, tuple(CONTRACTIVITY_LEVELS), CONTRACTIVITY_SEED)
+    if key in _contractivity_cache:
+        return _contractivity_cache[key]
+    rng = np.random.default_rng(CONTRACTIVITY_SEED)
+    stacks = []
     for lev in CONTRACTIVITY_LEVELS:
         if Q0.degree == 0:
             # every point has the value Q0(0) (x) I, inside the disk as Q0(Z0) is
@@ -169,8 +195,12 @@ def solve_pick(problems: PickProblem | Sequence[PickProblem], tol: float = 1e-9)
             # the samples' Q0 values have norm below 0.9, which is also the
             # transfer function's domain check
             _, QZ = _sample_stack(Q0, lev, per_level, rng, target=0.9)
-        norms += _operator_norms(_transfer_stack(col, QZ)).tolist()
-    return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
+        QZ.setflags(write=False)
+        stacks.append(QZ)
+    if len(_contractivity_cache) >= _CONTRACTIVITY_DOMAINS:
+        del _contractivity_cache[next(iter(_contractivity_cache))]
+    _contractivity_cache[key] = tuple(stacks)
+    return _contractivity_cache[key]
 
 
 # ---------------------------------------------------------------------------

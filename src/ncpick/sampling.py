@@ -13,7 +13,10 @@ Q0 (every row or diagonal pencil) gets t in closed form from ||H_k(Z)||;
 any other Q0 is bisected on t by re-weighting the fixed parts, all K
 points at once under a mask.  The scaled points come back together with
 their values Q0(t Z), whose norms were checked against the target, so a
-caller never evaluates Q0 at a sample again.
+caller never evaluates Q0 at a sample again.  ``solve_pick`` keeps the
+values of its seeded contractivity samples per domain
+(``interpolation._contractivity_values``), so it draws them once per
+domain and process, not once per call.
 """
 
 from __future__ import annotations

@@ -190,6 +190,42 @@ def _value_problem(scale):
     return Q, Z0, scale * transfer_eval(RealizedFunction(col, Q), Z0)
 
 
+class TestPickSampleCache:
+    """pick-solve draws its contractivity samples once per domain and process."""
+
+    def _payload(self):
+        Q, Z0, value = _value_problem(0.7)
+        return {"Q0": encode_poly(Q), "Z0": encode_tuple(Z0),
+                "A0": encode_matrix(np.eye(3)), "B0": encode_matrix(value)}
+
+    def test_second_request_draws_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(interpolation, "_contractivity_cache", {})
+        draws = []
+        sample_stack = interpolation._sample_stack
+
+        def counting(*args, **kwargs):
+            draws.append(args[1])
+            return sample_stack(*args, **kwargs)
+
+        monkeypatch.setattr(interpolation, "_sample_stack", counting)
+        # each request decodes its own Q0 from stdin
+        code, doc, cold = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
+        assert code == 0 and doc["feasible"] is True
+        assert draws == list(interpolation.CONTRACTIVITY_LEVELS)
+        code, _, warm = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
+        assert code == 0 and draws == list(interpolation.CONTRACTIVITY_LEVELS)
+        assert warm == cold
+        assert len(interpolation._contractivity_cache) == 1
+
+    def test_cached_stdout_matches_a_cold_cache(self, capsys, monkeypatch):
+        monkeypatch.setattr(interpolation, "_contractivity_cache", {})
+        _, _, first = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
+        _, _, hit = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
+        monkeypatch.setattr(interpolation, "_contractivity_cache", {})
+        _, _, cold = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
+        assert first == hit == cold
+
+
 @pytest.mark.parametrize("tol", ["1e-18", "1e-12", "1e-9", "1e-6"])
 @pytest.mark.parametrize("command", ["pick-check", "stein-check"])
 @pytest.mark.parametrize("scale, verdict", [(0.7, "psd"), (3.0, "not_psd")])
@@ -757,3 +793,16 @@ def test_runs_without_scipy():
     solve, synth = (json.loads(line) for line in out.stdout.splitlines())
     assert solve["feasible"] and "colligation" in solve
     assert synth == {"exit": 0, "flags": ["unitary", "contractive"]}
+
+
+def test_import_leaves_the_sample_cache_empty():
+    # the contractivity samples are drawn on first use, never at import, so
+    # a fresh interpreter's ``import ncpick.cli`` does no sampling work
+    src = str(Path(ncpick.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import ncpick.cli, ncpick.interpolation as i, sys; "
+            "sys.stdout.write(repr(i._contractivity_cache))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "{}"

@@ -614,7 +614,9 @@ class TestContractivitySamples:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_matches_per_sample_loop(self, kind, d, dimX, y, u, seed):
         # oracle: per_sample_contractivity at solve_pick's sample count,
-        # levels and seed, through amplified_transfer and kron_eval_poly
+        # levels and seed, through amplified_transfer and kron_eval_poly;
+        # an empty sample cache makes solve_pick draw, so the draws are recorded
+        interpolation._contractivity_cache.clear()
         rng = np.random.default_rng(seed)
         Q0 = contractivity_q0(kind, d, rng)
         Z0 = sample_in_domain(Q0, 1, rng, 0.5)
@@ -665,6 +667,79 @@ class TestContractivitySamples:
             assert rep.feasible and len(rep.contractivity_samples) == samples
             counts.append((len(evals), len(norms)))
         assert counts[0] == counts[1] == counts[2]
+
+
+class TestContractivityCache:
+    """``_contractivity_values`` keeps each domain's sample values, keyed on exact bits."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(interpolation, "_contractivity_cache", {})
+
+    def counted_draws(self, monkeypatch):
+        draws = []
+        sample_stack = interpolation._sample_stack
+
+        def counting(*args, **kwargs):
+            draws.append(args[1])
+            return sample_stack(*args, **kwargs)
+
+        monkeypatch.setattr(interpolation, "_sample_stack", counting)
+        return draws
+
+    def test_hit_returns_the_cached_stacks(self, monkeypatch):
+        draws = self.counted_draws(monkeypatch)
+        first = interpolation._contractivity_values(NcMatrixPolynomial.row_pencil(2))
+        again = interpolation._contractivity_values(NcMatrixPolynomial.row_pencil(2))
+        assert again is first and draws == list(interpolation.CONTRACTIVITY_LEVELS)
+        per_level = interpolation.CONTRACTIVITY_SAMPLES // len(interpolation.CONTRACTIVITY_LEVELS)
+        assert [QZ.shape for QZ in first] == [(per_level, n, 2 * n)
+                                              for n in interpolation.CONTRACTIVITY_LEVELS]
+
+    def test_one_ulp_change_misses(self, monkeypatch):
+        draws = self.counted_draws(monkeypatch)
+        c = np.array([[0.7, -0.2j]])
+        nudged = c.copy()
+        nudged[0, 0] = np.nextafter(0.7, 1.0)
+        for coeff in (c, nudged):
+            interpolation._contractivity_values(
+                NcMatrixPolynomial(2, 1, 2, {Word((1,), 2): coeff, Word((2,), 2): 0.5 * c}))
+        assert len(interpolation._contractivity_cache) == 2
+        assert len(draws) == 2 * len(interpolation.CONTRACTIVITY_LEVELS)
+
+    def test_signed_zero_is_another_domain(self):
+        # == equates the two polynomials; their coefficient bits differ
+        pos = NcMatrixPolynomial(2, 1, 2, {Word((1,), 2): np.array([[1.0, 0.0]])})
+        neg = NcMatrixPolynomial(2, 1, 2, {Word((1,), 2): np.array([[1.0, -0.0]])})
+        assert pos == neg
+        a = interpolation._contractivity_values(pos)
+        b = interpolation._contractivity_values(neg)
+        assert a is not b and len(interpolation._contractivity_cache) == 2
+
+    def test_cached_stacks_are_read_only(self):
+        for QZ in interpolation._contractivity_values(NcMatrixPolynomial.row_pencil(1)):
+            with pytest.raises(ValueError, match="read-only"):
+                QZ[0, 0, 0] = 1.0
+
+    def test_holds_at_most_32_domains(self):
+        polys = [NcMatrixPolynomial.scalar_univariate([0, 1 + k / 64]) for k in range(33)]
+        for Q in polys:
+            interpolation._contractivity_values(Q)
+        cache = interpolation._contractivity_cache
+        assert len(cache) == 32
+        # first in, first out: the newest 32 stay
+        kept = [interpolation._contractivity_values(Q) for Q in polys[1:]]
+        assert all(any(v is c for c in cache.values()) for v in kept)
+        assert len(cache) == 32
+
+    def test_constant_q0_is_cached_without_draws(self, monkeypatch):
+        draws = self.counted_draws(monkeypatch)
+        Q0 = NcMatrixPolynomial(2, 1, 1, {Word((), 2): 0.5 * np.eye(1)})
+        first = interpolation._contractivity_values(Q0)
+        assert interpolation._contractivity_values(Q0) is first and draws == []
+        assert len(interpolation._contractivity_cache) == 1
+        for QZ in first:
+            np.testing.assert_array_equal(QZ, np.broadcast_to(0.5 * np.eye(QZ.shape[1]), QZ.shape))
 
 
 class TestLtoa:
