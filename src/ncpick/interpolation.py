@@ -20,6 +20,7 @@ oracles.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,6 +81,7 @@ CONTRACTIVITY_SEED = 0
 #: Domains whose contractivity sample values ``_contractivity_values`` keeps
 _CONTRACTIVITY_DOMAINS = 32
 _contractivity_cache: dict[tuple, tuple[np.ndarray, ...]] = {}
+_contractivity_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,9 @@ def _contractivity_values(Q0: NcMatrixPolynomial) -> tuple[np.ndarray, ...]:
     terms = sorted((w.letters, c.tobytes()) for w, c in Q0.terms.items())
     key = (Q0.d, Q0.s, Q0.r, tuple(terms),
            CONTRACTIVITY_SAMPLES, tuple(CONTRACTIVITY_LEVELS), CONTRACTIVITY_SEED)
-    if key in _contractivity_cache:
-        return _contractivity_cache[key]
+    values = _contractivity_cache.get(key)
+    if values is not None:
+        return values
     rng = np.random.default_rng(CONTRACTIVITY_SEED)
     stacks = []
     for lev in CONTRACTIVITY_LEVELS:
@@ -197,10 +200,13 @@ def _contractivity_values(Q0: NcMatrixPolynomial) -> tuple[np.ndarray, ...]:
             _, QZ = _sample_stack(Q0, lev, per_level, rng, target=0.9)
         QZ.setflags(write=False)
         stacks.append(QZ)
-    if len(_contractivity_cache) >= _CONTRACTIVITY_DOMAINS:
-        del _contractivity_cache[next(iter(_contractivity_cache))]
-    _contractivity_cache[key] = tuple(stacks)
-    return _contractivity_cache[key]
+    values = tuple(stacks)
+    with _contractivity_lock:
+        # threads that miss together evict and insert one at a time
+        if len(_contractivity_cache) >= _CONTRACTIVITY_DOMAINS:
+            del _contractivity_cache[next(iter(_contractivity_cache))]
+        _contractivity_cache[key] = values
+    return values
 
 
 # ---------------------------------------------------------------------------

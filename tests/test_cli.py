@@ -217,14 +217,6 @@ class TestPickSampleCache:
         assert warm == cold
         assert len(interpolation._contractivity_cache) == 1
 
-    def test_cached_stdout_matches_a_cold_cache(self, capsys, monkeypatch):
-        monkeypatch.setattr(interpolation, "_contractivity_cache", {})
-        _, _, first = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
-        _, _, hit = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
-        monkeypatch.setattr(interpolation, "_contractivity_cache", {})
-        _, _, cold = run_cli(["pick-solve"], self._payload(), capsys, monkeypatch)
-        assert first == hit == cold
-
 
 @pytest.mark.parametrize("tol", ["1e-18", "1e-12", "1e-9", "1e-6"])
 @pytest.mark.parametrize("command", ["pick-check", "stein-check"])

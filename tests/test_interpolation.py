@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -740,6 +741,17 @@ class TestContractivityCache:
         assert len(interpolation._contractivity_cache) == 1
         for QZ in first:
             np.testing.assert_array_equal(QZ, np.broadcast_to(0.5 * np.eye(QZ.shape[1]), QZ.shape))
+
+    def test_threads_evicting_together_keep_the_bound(self, monkeypatch):
+        monkeypatch.setattr(interpolation, "_CONTRACTIVITY_DOMAINS", 2)
+        polys = [NcMatrixPolynomial.scalar_univariate([0, 1 + k / 64]) for k in range(16)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(interpolation._contractivity_values, polys * 2))
+        assert len(interpolation._contractivity_cache) <= 2
+        interpolation._contractivity_cache.clear()
+        for Q, values in zip(polys * 2, got):
+            for QZ, ref in zip(values, interpolation._contractivity_values(Q)):
+                np.testing.assert_array_equal(QZ, ref)
 
 
 class TestLtoa:
