@@ -7,7 +7,8 @@ document to stdout; diagnostics go to stderr.  Exit codes: 0 for success /
 feasible / member, 1 for a well-posed negative answer, 2 for argument,
 input or runtime errors (a failed synthesis consistency check is a
 ``RuntimeError``), each answered with the error document.  No command
-takes a seed, and identical input gives byte-identical stdout.
+takes a seed, and at a fixed BLAS thread count identical input gives
+byte-identical stdout.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ oracles.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,7 +32,6 @@ from .core import (
     NcMatrixPolynomial,
     _eval_in_domain,
     _eval_poly,
-    _eval_poly_stack,
     _operator_norms,
     amp,
     operator_norm,
@@ -57,7 +55,6 @@ from .realization import (
     _synthesize,
     _transfer_stack,
 )
-from .sampling import _sample_stack
 
 __all__ = [
     "PickProblem",
@@ -77,11 +74,6 @@ __all__ = [
 CONTRACTIVITY_SAMPLES = 100
 CONTRACTIVITY_LEVELS = (1, 2)
 CONTRACTIVITY_SEED = 0
-
-#: Domains whose contractivity sample values ``_contractivity_values`` keeps
-_CONTRACTIVITY_DOMAINS = 32
-_contractivity_cache: dict[tuple, tuple[np.ndarray, ...]] = {}
-_contractivity_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -152,12 +144,12 @@ def solve_pick(problems: PickProblem | Sequence[PickProblem], tol: float = 1e-9)
     ``pick_certificate(problems, tol)``), and, on a PSD verdict, the
     Kolmogorov factor for the lurking-isometry synthesis, which reports the
     interpolation residual max_a ||A_a S(Z_a) - B_a||, and contractivity
-    is spot-checked on ``CONTRACTIVITY_SAMPLES`` seeded in-domain points,
-    split evenly over ``CONTRACTIVITY_LEVELS``.  Those points and their Q0
-    values depend on Q0 alone, so they are drawn once per domain and process
-    (``_contractivity_values``); each call pays only for its colligation's
-    transfer solves and norms there.  A constant Q0 has the one value
-    Q0(0) (x) I at every point, so nothing is drawn.
+    is spot-checked on ``CONTRACTIVITY_SAMPLES`` seeded points, split evenly
+    over ``CONTRACTIVITY_LEVELS``.  S is F_U(Q0(Z)), and the colligation's
+    transfer function F_U is contractive on every strict contraction T of
+    shape n x r n when U is, so the points are such T drawn directly:
+    complex Gaussians scaled to Frobenius norm 0.9, which bounds their
+    operator norm.  They depend on r alone, not on Q0's disk.
     Infeasible problems return the certificate with ``feasible=False``.
     """
     nodes = _pick_nodes(problems)
@@ -165,48 +157,16 @@ def solve_pick(problems: PickProblem | Sequence[PickProblem], tol: float = 1e-9)
     if factor is None:
         return SolveReport(False, cert)
     col, diag = _synthesize(nodes, factor, cert, tol, "zero")
-    norms: list[float] = []
-    for QZ in _contractivity_values(nodes[0].Q0):
-        norms += _operator_norms(_transfer_stack(col, QZ)).tolist()
-    return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
-
-
-def _contractivity_values(Q0: NcMatrixPolynomial) -> tuple[np.ndarray, ...]:
-    """Q0 at ``solve_pick``'s contractivity samples: one read-only stack per level.
-
-    The points depend only on Q0 and the three ``CONTRACTIVITY_*``
-    constants, so each domain's stacks are computed on first use, all levels
-    from one generator, and kept for the process in ``_contractivity_cache``
-    (first in, first out past ``_CONTRACTIVITY_DOMAINS``).  The key holds
-    Q0's exact coefficient bits, not ``==``, which equates -0.0 with 0.0,
-    and the constants as read at call time.
-    """
-    per_level = CONTRACTIVITY_SAMPLES // len(CONTRACTIVITY_LEVELS)
-    terms = sorted((w.letters, c.tobytes()) for w, c in Q0.terms.items())
-    key = (Q0.d, Q0.s, Q0.r, tuple(terms),
-           CONTRACTIVITY_SAMPLES, tuple(CONTRACTIVITY_LEVELS), CONTRACTIVITY_SEED)
-    values = _contractivity_cache.get(key)
-    if values is not None:
-        return values
     rng = np.random.default_rng(CONTRACTIVITY_SEED)
-    stacks = []
-    for lev in CONTRACTIVITY_LEVELS:
-        if Q0.degree == 0:
-            # every point has the value Q0(0) (x) I, inside the disk as Q0(Z0) is
-            QZ = _eval_poly_stack(Q0, np.zeros((per_level, Q0.d, lev, lev)))
-        else:
-            # the samples' Q0 values have norm below 0.9, which is also the
-            # transfer function's domain check
-            _, QZ = _sample_stack(Q0, lev, per_level, rng, target=0.9)
-        QZ.setflags(write=False)
-        stacks.append(QZ)
-    values = tuple(stacks)
-    with _contractivity_lock:
-        # threads that miss together evict and insert one at a time
-        if len(_contractivity_cache) >= _CONTRACTIVITY_DOMAINS:
-            del _contractivity_cache[next(iter(_contractivity_cache))]
-        _contractivity_cache[key] = values
-    return values
+    per_level = CONTRACTIVITY_SAMPLES // len(CONTRACTIVITY_LEVELS)
+    norms: list[float] = []
+    for n in CONTRACTIVITY_LEVELS:
+        # pairs of standard normals read as complex entries, point by point
+        T = rng.standard_normal((per_level, n, 2 * col.r * n)).view(complex)
+        if T.size:  # an empty stack (r = 0) has no norm to divide by
+            T *= 0.9 / np.linalg.norm(T, axis=(1, 2))[:, None, None]
+        norms += _operator_norms(_transfer_stack(col, T)).tolist()
+    return SolveReport(True, cert, col, diag.interp_residual, tuple(norms), diag)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ __all__ = [
     "szego_map_matrix",
     "dbr_kernel",
     "dbr_map_matrix",
-    "dbr_choi",
     "map_matrix_to_choi",
 ]
 
@@ -452,16 +451,6 @@ def dbr_map_matrix(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> np.ndarray
     """Matrix of P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on vec inputs."""
     p = PickProblem(Q0, Z, A0, B0)
     return _dbr_pair(p, p, np.eye(p.n * p.n))
-
-
-def dbr_choi(Q0: NcMatrixPolynomial, Z: MatrixTuple, A0, B0) -> ChoiMatrix:
-    """Choi matrix of the de Branges-Rovnyak map at the node Z.
-
-    The map is P -> dbr_kernel(Q0, Z, Z, P, A0, A0, B0, B0) on n x n inputs;
-    its Choi matrix has n x n blocks of side (e n), the row dimension of A0.
-    """
-    p = PickProblem(Q0, Z, A0, B0)
-    return ChoiMatrix(p.n, p.A0.shape[0], _dbr_support([p]))
 
 
 def _choi_reshuffle(Mmat: np.ndarray, in_shape: tuple[int, int],

@@ -13,10 +13,7 @@ Q0 (every row or diagonal pencil) gets t in closed form from ||H_k(Z)||;
 any other Q0 is bisected on t by re-weighting the fixed parts, all K
 points at once under a mask.  The scaled points come back together with
 their values Q0(t Z), whose norms were checked against the target, so a
-caller never evaluates Q0 at a sample again.  ``solve_pick`` keeps the
-values of its seeded contractivity samples per domain
-(``interpolation._contractivity_values``), so it draws them once per
-domain and process, not once per call.
+caller never evaluates Q0 at a sample again.
 """
 
 from __future__ import annotations
@@ -163,16 +160,6 @@ def sample_in_domain(Q0: NcMatrixPolynomial, n: int, rng: np.random.Generator,
                      target: float = 0.8) -> MatrixTuple:
     """A random level-n point with ||Q0(Z)|| just below ``target``."""
     return scale_into_domain(Q0, random_tuple(rng, Q0.d, n), target=target)
-
-
-def _sample_stack(Q0: NcMatrixPolynomial, n: int, K: int, rng: np.random.Generator,
-                  target: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
-    """K successive ``sample_in_domain`` draws as one stack, with their Q0 values.
-
-    Same generator reads and, up to rounding, the same points as K calls;
-    returns ``(Zs, QZ)`` of shapes (K, d, n, n) and (K, s n, r n).
-    """
-    return _scale_stack(Q0, _random_directions(rng, K, Q0.d, n), target)
 
 
 def random_row_poly(rng: np.random.Generator, d: int, r: int, degree: int = 1,

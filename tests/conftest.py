@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from ncpick.core import DimensionMismatchError, DomainError, MatrixTuple, _eval_poly, amp, \
-    direct_sum_many, operator_norm
+from ncpick.core import DimensionMismatchError, DomainError, MatrixTuple, NcMatrixPolynomial, \
+    Word, _eval_poly, amp, direct_sum_many, operator_norm
 from ncpick.envelopes import INJECTIVITY_TOL, INJECTIVITY_TRIALS, WITNESS_COND_BOUND, \
     intertwiner_space
 from ncpick.kernels import PickProblem
@@ -61,6 +61,20 @@ def count_calls(monkeypatch, module, name):
                 getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def unsampleable_domains() -> dict[str, tuple]:
+    """Feasible nodes (Q0, Z0, A0, B0) whose disk of Q0 has no seeded points
+    of norm 0.9 at levels 1 and 2: the commutator z1 z2 - z2 z1 is 0 at every
+    level-1 point, and 0.95 + 0.04 z starts above 0.9."""
+    commutator = NcMatrixPolynomial(2, 1, 1, {Word((1, 2), 2): np.eye(1),
+                                              Word((2, 1), 2): -np.eye(1)})
+    return {
+        "commutator": (commutator, mt([[0, 0.5], [0, 0]], [[0, 0], [0.5, 0]]),
+                       np.eye(2), 0.5 * np.eye(2)),
+        "constant_0.95": (NcMatrixPolynomial.scalar_univariate([0.95, 0.04]), scalar_point(0.5),
+                          np.eye(1), 0.3 * np.eye(1)),
+    }
 
 
 # Direct formulas kept as oracles for the Kronecker-free evaluators

@@ -1,6 +1,6 @@
 import itertools
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpick import core, interpolation, kernels, sampling
+from ncpick import core, interpolation, kernels
 from ncpick.core import (
     NcMatrixPolynomial,
     Word,
@@ -33,12 +33,13 @@ from ncpick.interpolation import (
 from ncpick.kernels import NotPsdError
 from ncpick.okaweil import extract_nc_polynomial
 from ncpick.realization import (
+    Colligation,
     RealizedFunction,
     lurking_isometry_synthesize,
     random_contractive_colligation,
     transfer_eval,
 )
-from ncpick.sampling import complex_gaussian, random_row_poly, sample_in_domain
+from ncpick.sampling import complex_gaussian, sample_in_domain
 
 from conftest import (
     amplified_partial_sum,
@@ -50,6 +51,7 @@ from conftest import (
     multi_point_to_single,
     scalar_point,
     stein_dominance_choi,
+    unsampleable_domains,
 )
 
 
@@ -196,7 +198,7 @@ class TestPickCertificate:
             a0 = complex_gaussian(rng, (e * n, n))
             problems.append(PickProblem(Q, Z0, a0, t * a0 @ transfer_eval(source, Z0)))
         p = multi_point_to_single(problems)
-        choi = kernels.dbr_choi(p.Q0, p.Z0, p.A0, p.B0).matrix
+        choi = kernels._dbr_support([p])
         support, live = kernels._on_support(choi)
         full = np.linalg.eigvalsh(choi)
         dropped = choi.shape[0] - support.shape[0]
@@ -328,7 +330,7 @@ class TestMultiPoint:
         cert, S = pick_certificate(nodes)
         assert S.shape[0] == sum(e * n * n for n, e in parts)
         fused = multi_point_to_single(nodes)
-        full = np.linalg.eigvalsh(kernels.dbr_choi(Q, fused.Z0, fused.A0, fused.B0).matrix)
+        full = np.linalg.eigvalsh(kernels._dbr_support([fused]))
         want = np.sort(full[np.argsort(np.abs(full))[full.size - S.shape[0]:]])
         got = np.linalg.eigvalsh(S)
         scale = 1e-10 * max(1.0, np.max(np.abs(full)))
@@ -399,7 +401,6 @@ def _malformed_entry_points(Q, Z0, A0, B0, stein):
     calls = {
         "PickProblem": lambda: PickProblem(Q, Z0, A0, B0),
         "lurking_isometry_synthesize": lambda: lurking_isometry_synthesize(Q, Z0, A0, B0),
-        "dbr_choi": lambda: kernels.dbr_choi(Q, Z0, A0, B0),
         "dbr_map_matrix": lambda: kernels.dbr_map_matrix(Q, Z0, A0, B0),
     }
     if stein:
@@ -584,74 +585,80 @@ class TestSolvePick:
         assert seen == [(0, 1)]
 
 
-def contractivity_q0(kind, d, rng):
-    """A one-row Q0: the row pencil, or a random degree-2 polynomial without
-    or with a constant term (the last two make sampling bisect)."""
-    if kind == "row_pencil":
-        return NcMatrixPolynomial.row_pencil(d)
-    Q = random_row_poly(rng, d, 2, degree=2, include_constant=kind == "quadratic_constant")
-    # a constant term of norm 0.3 leaves room for the node (0.5) and the samples (0.9)
-    return NcMatrixPolynomial(d, 1, 2, {
-        w: 0.3 * c / operator_norm(c) if not len(w) else c for w, c in Q.terms.items()})
+def substitute_colligation(col):
+    """Patch ``solve_pick`` to verify ``col`` in place of the synthesized
+    colligation, keeping synthesis's diagnostics."""
+    synthesize = interpolation._synthesize
+    return mock.patch.object(interpolation, "_synthesize",
+                             lambda *args: (col, synthesize(*args)[1]))
 
 
-def per_sample_contractivity(col, Q0, samples, sample_levels, seed):
-    """The verification loop as solve_pick runs it, point by point: one
-    ``sample_in_domain`` and one amplified transfer-function value per sample."""
-    rng = np.random.default_rng(seed)
-    points, norms = [], []
-    for lev in sample_levels:
-        for _ in range(samples // len(sample_levels)):
-            Z = sample_in_domain(Q0, lev, rng, target=0.9)
-            points.append(np.stack(Z.components))
-            norms.append(operator_norm(amplified_transfer(col, kron_eval_poly(Q0, Z))))
-    return points, norms, rng
+def per_sample_contractivity(col):
+    """The spot check point by point: the same seeded strict contractions T of
+    shape n x r n, each through one amplified transfer-function value."""
+    rng = np.random.default_rng(interpolation.CONTRACTIVITY_SEED)
+    K = interpolation.CONTRACTIVITY_SAMPLES // len(interpolation.CONTRACTIVITY_LEVELS)
+    norms = []
+    for n in interpolation.CONTRACTIVITY_LEVELS:
+        for _ in range(K):
+            g = rng.standard_normal((n, col.r * n, 2))
+            T = 0.9 * (g[..., 0] + 1j * g[..., 1]) / np.linalg.norm(g)
+            assert operator_norm(T) <= 0.9 + 1e-15
+            norms.append(operator_norm(amplified_transfer(col, T)))
+    return norms
 
 
 class TestContractivitySamples:
-    @given(kind=st.sampled_from(["row_pencil", "quadratic", "quadratic_constant"]),
-           d=st.integers(1, 3), dimX=st.sampled_from([0, 1, 6]),
+    @given(r=st.integers(1, 3), dimX=st.sampled_from([0, 1, 6]),
            y=st.integers(1, 2), u=st.integers(1, 2), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_matches_per_sample_loop(self, kind, d, dimX, y, u, seed):
+    def test_matches_per_sample_loop(self, r, dimX, y, u, seed):
         # oracle: per_sample_contractivity at solve_pick's sample count,
-        # levels and seed, through amplified_transfer and kron_eval_poly;
-        # an empty sample cache makes solve_pick draw, so the draws are recorded
-        interpolation._contractivity_cache.clear()
-        rng = np.random.default_rng(seed)
-        Q0 = contractivity_q0(kind, d, rng)
-        Z0 = sample_in_domain(Q0, 1, rng, 0.5)
+        # levels and seed, through amplified_transfer
+        Q0 = NcMatrixPolynomial.row_pencil(r)
+        Z0 = sample_in_domain(Q0, 1, np.random.default_rng(seed), 0.5)
         p = PickProblem(Q0, Z0, np.eye(1), np.zeros((1, 1)))
-        # verify a colligation of the wanted state dimension in place of the
+        # a colligation of the wanted state dimension in place of the
         # synthesized one, so every dimX is covered whatever synthesis returns
-        col = random_contractive_colligation(dimX, u, y, Q0.r, seed=seed)
-        synthesize = interpolation._synthesize
-        drawn = []
-
-        def substitute(*args, **kwargs):
-            return col, synthesize(*args, **kwargs)[1]
-
-        def recording(Q, n, K, gen, target):
-            Zs, QZ = sampling._sample_stack(Q, n, K, gen, target)
-            drawn.append((Zs, gen))
-            return Zs, QZ
-
-        with mock.patch.object(interpolation, "_synthesize", substitute), \
-                mock.patch.object(interpolation, "_sample_stack", recording):
+        col = random_contractive_colligation(dimX, u, y, r, seed=seed)
+        with substitute_colligation(col):
             rep = solve_pick(p)
-        points, want, oracle_rng = per_sample_contractivity(
-            col, Q0, interpolation.CONTRACTIVITY_SAMPLES, interpolation.CONTRACTIVITY_LEVELS,
-            interpolation.CONTRACTIVITY_SEED)
+        want = per_sample_contractivity(col)
         assert rep.feasible and rep.colligation is col
         assert len(rep.contractivity_samples) == len(want) == interpolation.CONTRACTIVITY_SAMPLES
         np.testing.assert_allclose(rep.contractivity_samples, want, rtol=1e-12, atol=0)
-        assert (max(want) <= 1 + 1e-9) == (rep.max_sampled_norm <= 1 + 1e-9)
-        # identical draws: the same points, and the generator read to the same state
-        got = [Z for Zs, _ in drawn for Z in Zs]
-        assert len(got) == len(points)
-        for a, b in zip(got, points):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-        assert drawn[-1][1].bit_generator.state == oracle_rng.bit_generator.state
+        assert rep.max_sampled_norm <= 1 + 1e-9
+
+    def test_a_non_contractive_colligation_fails_the_check(self, rng):
+        # 1.5 U for a unitary U, flagged neither contractive nor unitary
+        Q0 = NcMatrixPolynomial.row_pencil(2)
+        p = PickProblem(Q0, sample_in_domain(Q0, 1, rng, 0.5), np.eye(1), np.zeros((1, 1)))
+        U = random_contractive_colligation(2, 3, 1, 2, seed=3, unitary=True)
+        col = Colligation(2, 3, 1, 2, 1.5 * U.A, 1.5 * U.B, 1.5 * U.C, 1.5 * U.D)
+        with substitute_colligation(col):
+            rep = solve_pick(p)
+        assert rep.colligation is col and rep.max_sampled_norm > 1
+
+    def test_zero_width_q0_scales_without_warnings(self):
+        # r = 0 makes every T empty, so there is no norm to divide by
+        Q0 = NcMatrixPolynomial(2, 1, 0, {})
+        p = PickProblem(Q0, mt([[0.1, 0.2], [0.0, 0.3]], [[0.0, -0.2], [0.4, 0.1]]),
+                        np.eye(2), 0.5 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_pick(p)
+        assert rep.feasible and rep.colligation.r == 0
+        assert len(rep.contractivity_samples) == interpolation.CONTRACTIVITY_SAMPLES
+
+    @pytest.mark.parametrize("case", unsampleable_domains())
+    def test_samples_need_no_point_of_the_disk(self, case):
+        # the transfer function is checked on its own operator ball, so a
+        # Q0 with no seeded in-domain points is verified like any other
+        rep = solve_pick(PickProblem(*unsampleable_domains()[case]))
+        assert rep.feasible and rep.certificate.verdict == "psd"
+        assert rep.interp_residual <= 1e-10
+        assert len(rep.contractivity_samples) == interpolation.CONTRACTIVITY_SAMPLES
+        assert rep.max_sampled_norm <= 1 + 1e-9
 
     def test_node_work_does_not_grow_with_samples(self, monkeypatch):
         # Q0 and its norm are computed at the node and in synthesis only; the
@@ -668,90 +675,6 @@ class TestContractivitySamples:
             assert rep.feasible and len(rep.contractivity_samples) == samples
             counts.append((len(evals), len(norms)))
         assert counts[0] == counts[1] == counts[2]
-
-
-class TestContractivityCache:
-    """``_contractivity_values`` keeps each domain's sample values, keyed on exact bits."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(interpolation, "_contractivity_cache", {})
-
-    def counted_draws(self, monkeypatch):
-        draws = []
-        sample_stack = interpolation._sample_stack
-
-        def counting(*args, **kwargs):
-            draws.append(args[1])
-            return sample_stack(*args, **kwargs)
-
-        monkeypatch.setattr(interpolation, "_sample_stack", counting)
-        return draws
-
-    def test_hit_returns_the_cached_stacks(self, monkeypatch):
-        draws = self.counted_draws(monkeypatch)
-        first = interpolation._contractivity_values(NcMatrixPolynomial.row_pencil(2))
-        again = interpolation._contractivity_values(NcMatrixPolynomial.row_pencil(2))
-        assert again is first and draws == list(interpolation.CONTRACTIVITY_LEVELS)
-        per_level = interpolation.CONTRACTIVITY_SAMPLES // len(interpolation.CONTRACTIVITY_LEVELS)
-        assert [QZ.shape for QZ in first] == [(per_level, n, 2 * n)
-                                              for n in interpolation.CONTRACTIVITY_LEVELS]
-
-    def test_one_ulp_change_misses(self, monkeypatch):
-        draws = self.counted_draws(monkeypatch)
-        c = np.array([[0.7, -0.2j]])
-        nudged = c.copy()
-        nudged[0, 0] = np.nextafter(0.7, 1.0)
-        for coeff in (c, nudged):
-            interpolation._contractivity_values(
-                NcMatrixPolynomial(2, 1, 2, {Word((1,), 2): coeff, Word((2,), 2): 0.5 * c}))
-        assert len(interpolation._contractivity_cache) == 2
-        assert len(draws) == 2 * len(interpolation.CONTRACTIVITY_LEVELS)
-
-    def test_signed_zero_is_another_domain(self):
-        # == equates the two polynomials; their coefficient bits differ
-        pos = NcMatrixPolynomial(2, 1, 2, {Word((1,), 2): np.array([[1.0, 0.0]])})
-        neg = NcMatrixPolynomial(2, 1, 2, {Word((1,), 2): np.array([[1.0, -0.0]])})
-        assert pos == neg
-        a = interpolation._contractivity_values(pos)
-        b = interpolation._contractivity_values(neg)
-        assert a is not b and len(interpolation._contractivity_cache) == 2
-
-    def test_cached_stacks_are_read_only(self):
-        for QZ in interpolation._contractivity_values(NcMatrixPolynomial.row_pencil(1)):
-            with pytest.raises(ValueError, match="read-only"):
-                QZ[0, 0, 0] = 1.0
-
-    def test_holds_at_most_32_domains(self):
-        polys = [NcMatrixPolynomial.scalar_univariate([0, 1 + k / 64]) for k in range(33)]
-        for Q in polys:
-            interpolation._contractivity_values(Q)
-        cache = interpolation._contractivity_cache
-        assert len(cache) == 32
-        # first in, first out: the newest 32 stay
-        kept = [interpolation._contractivity_values(Q) for Q in polys[1:]]
-        assert all(any(v is c for c in cache.values()) for v in kept)
-        assert len(cache) == 32
-
-    def test_constant_q0_is_cached_without_draws(self, monkeypatch):
-        draws = self.counted_draws(monkeypatch)
-        Q0 = NcMatrixPolynomial(2, 1, 1, {Word((), 2): 0.5 * np.eye(1)})
-        first = interpolation._contractivity_values(Q0)
-        assert interpolation._contractivity_values(Q0) is first and draws == []
-        assert len(interpolation._contractivity_cache) == 1
-        for QZ in first:
-            np.testing.assert_array_equal(QZ, np.broadcast_to(0.5 * np.eye(QZ.shape[1]), QZ.shape))
-
-    def test_threads_evicting_together_keep_the_bound(self, monkeypatch):
-        monkeypatch.setattr(interpolation, "_CONTRACTIVITY_DOMAINS", 2)
-        polys = [NcMatrixPolynomial.scalar_univariate([0, 1 + k / 64]) for k in range(16)]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(interpolation._contractivity_values, polys * 2))
-        assert len(interpolation._contractivity_cache) <= 2
-        interpolation._contractivity_cache.clear()
-        for Q, values in zip(polys * 2, got):
-            for QZ, ref in zip(values, interpolation._contractivity_values(Q)):
-                np.testing.assert_array_equal(QZ, ref)
 
 
 class TestLtoa:

@@ -16,8 +16,8 @@ from ncpick.core import (
     similarity,
 )
 from ncpick.interpolation import solve_pick
-from ncpick.kernels import PSD_REL_TOL, NotPsdError, PickProblem, _phi_matrix, dbr_choi, \
-    kolmogorov_factor
+from ncpick.kernels import PSD_REL_TOL, ChoiMatrix, NotPsdError, PickProblem, _dbr_support, \
+    _phi_matrix, kolmogorov_factor
 from ncpick.realization import (
     SVD_RANK_TOL,
     Colligation,
@@ -288,7 +288,8 @@ def lurking_families(Q, Z0, a0, b0, dimX):
     Kolmogorov factor of the Choi matrix.  State coordinates beyond the
     factor's rank (a padded state space of dimension ``dimX``) stay zero.
     """
-    H = kolmogorov_factor(dbr_choi(Q, Z0, a0, b0)).stacked
+    p = PickProblem(Q, Z0, a0, b0)
+    H = kolmogorov_factor(ChoiMatrix(p.n, p.A0.shape[0], _dbr_support([p]))).stacked
     n, r = Z0.n, Q.r
     X = H.shape[1] // n
     QZ = _eval_poly(Q, Z0)  # n x (r n), columns (rho, j)

@@ -102,7 +102,7 @@ class TestScaleIntoDomain:
         # the same points, and values that are Q0 at those points under target
         Q0 = POLYS[kind](np.random.default_rng(seed), d, target)
         rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        Zs, QZ = sampling._sample_stack(Q0, n, K, rng_a, target=target)
+        Zs, QZ = sampling._scale_stack(Q0, sampling._random_directions(rng_a, K, d, n), target)
         for k in range(K):
             Z = sample_in_domain(Q0, n, rng_b, target=target)
             np.testing.assert_allclose(Zs[k], np.stack(Z.components), rtol=1e-12, atol=0)
